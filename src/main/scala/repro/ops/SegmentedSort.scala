@@ -1,7 +1,5 @@
 package repro.ops
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.core.{CodedRow, Ovc, OvcStats}
 import repro.sort.LoserTree
 
@@ -28,41 +26,50 @@ object SegmentedSortOp {
     val newArity = segLen + newSuffixLen
 
     new Iterator[CodedRow] {
+      // One row-buffer tree, refilled for every segment.
+      private[this] val tree = LoserTree.forRows(newArity, stats)
       private[this] var nextSeg: CodedRow = if (in.hasNext) in.next() else null
-      private[this] var segOut: Iterator[CodedRow] = Iterator.empty
+      private[this] var boundaryCode = 0L
+      private[this] var firstOut = false
+
+      /** Re-keys `r` to S ++ C and buffers it in the tree. */
+      private def add(r: CodedRow): Unit = {
+        val key = new Array[Long](newArity)
+        System.arraycopy(r.key, 0, key, 0, segLen)
+        System.arraycopy(r.payload, 0, key, segLen, newSuffixLen)
+        tree.add(key, r.payload)
+      }
 
       private def loadSegment(): Unit =
-        while (!segOut.hasNext && nextSeg != null) {
+        if (!tree.hasNext && nextSeg != null) {
           val first = nextSeg
           nextSeg = null
-          val seg = ArrayBuffer(first)
+          tree.clear()
+          add(first)
           var continue = true
           while (continue && in.hasNext) {
             val r = in.next()
             stats.codeComparisons += 1
             if (Ovc.offsetOf(r.code, inArity) < segLen) { nextSeg = r; continue = false }
-            else seg += r
+            else add(r)
           }
           // Boundary code on the new key: offsets < segLen index shared S columns.
-          val boundaryCode =
-            Ovc.pack(newArity, Ovc.offsetOf(first.code, inArity), Ovc.valueOf(first.code))
-          // Re-key each row to S ++ C, coded relative to the segment base.
-          val rekeyed = seg.map { r =>
-            val key = new Array[Long](newArity)
-            System.arraycopy(r.key, 0, key, 0, segLen)
-            var i = 0
-            while (i < newSuffixLen) { key(segLen + i) = r.payload(i); i += 1 }
-            Iterator.single(CodedRow(key, Ovc.pack(newArity, segLen, key(segLen)), r.payload))
-          }
-          val sorted = new LoserTree(rekeyed.toIndexedSeq, newArity, stats)
-          var firstOut = true
-          segOut = sorted.map { r =>
-            if (firstOut) { firstOut = false; CodedRow(r.key, boundaryCode, r.payload) } else r
-          }
+          boundaryCode = Ovc.pack(newArity, Ovc.offsetOf(first.code, inArity), Ovc.valueOf(first.code))
+          firstOut = true
+          // Every row enters coded relative to the segment base (S, -inf).
+          tree.sortRows(segLen)
         }
 
-      override def hasNext: Boolean = { loadSegment(); segOut.hasNext }
-      override def next(): CodedRow = { loadSegment(); segOut.next() }
+      override def hasNext: Boolean = { loadSegment(); tree.hasNext }
+      override def next(): CodedRow = {
+        loadSegment()
+        val e = tree.winner
+        val code = if (firstOut) boundaryCode else tree.code(e)
+        firstOut = false
+        val out = CodedRow(tree.key(e), code, tree.payload(e))
+        tree.advance()
+        out
+      }
     }
   }
 }

@@ -38,10 +38,15 @@ object IntersectPlans {
     val spill = new SpillStats
     val t0 = System.nanoTime()
     val d1 = ExternalSort.sort(t1(), arity, 0, memRows, stats, spill, dedup = true)
-    val d2 = ExternalSort.sort(t2(), arity, 0, memRows, stats, spill, dedup = true)
-    val joined = MergeJoinOp(d1, arity, d2, arity, arity, JoinType.LeftSemi, stats)
     var n = 0L
-    while (joined.hasNext) { joined.next(); n += 1 }
+    try {
+      val d2 = ExternalSort.sort(t2(), arity, 0, memRows, stats, spill, dedup = true)
+      // The semi join stops when d1 ends; closing d2 deletes its unread runs.
+      try {
+        val joined = MergeJoinOp(d1, arity, d2, arity, arity, JoinType.LeftSemi, stats)
+        while (joined.hasNext) { joined.next(); n += 1 }
+      } finally d2.close()
+    } finally d1.close()
     val ms = (System.nanoTime() - t0) / 1e6
     PlanMetrics(n, ms, spill.rowsSpilled, spill.bytesSpilled, stats)
   }

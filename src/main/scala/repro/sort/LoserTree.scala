@@ -2,49 +2,71 @@ package repro.sort
 
 import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
 
-/** Tree-of-losers priority queue with offset-value coding (paper §3).
+/** Tree-of-losers priority queue with offset-value coding (paper §3): the one
+  * tournament behind run generation, merging and segmented sorting.
   *
-  * Merges `inputs.length` sorted, coded streams into one sorted, coded stream.
-  * Each input row's code must be relative to its predecessor in the same input
-  * (the first row of each input relative to "-inf"). The emitted stream's
-  * codes are relative to the previously emitted row — the tree maintains the
-  * invariant that every stored loser is coded relative to the winner that beat
-  * it, so along the winner's leaf-to-root path all keys are coded relative to
-  * the prior overall winner, and the successor pulled from the winner's input
-  * arrives already coded relative to that same winner.
+  * The tree plays entry indices; each entry is a key, a code and a payload in
+  * three parallel arrays. Entries are filled one of two ways:
   *
-  * Exhausted inputs carry the late-fence code [[Ovc.LateFence]]; fence tests
-  * subsume code comparisons, as in the paper's F1 implementation (§5).
+  *  - *Merge* (`new LoserTree(inputs, arity, stats)`): entry `e` holds the
+  *    current row of sorted, coded input `e`, whose codes are relative to its
+  *    predecessor in the same input (the first row relative to "-inf"); when
+  *    the entry wins, the input's next row replaces it.
+  *  - *Row buffer* ([[LoserTree.forRows]]): [[add]] buffers rows and
+  *    [[sortRows]] turns each into a single-row run coded relative to a base
+  *    offset; when the entry wins, it becomes a late fence. Merging single-row
+  *    runs is run generation, and the sorted output is coded as a by-product.
   *
-  * Ties are won by the lower input index, making the merge stable; the losing
-  * duplicate is re-coded with the duplicate code 0.
+  * The emitted stream's codes are relative to the previously emitted row: the
+  * tree keeps every stored loser coded relative to the winner that beat it,
+  * so along the winner's leaf-to-root path all keys are coded relative to the
+  * prior overall winner, and the successor that replaces the winner arrives
+  * coded relative to that same winner.
+  *
+  * Exhausted entries carry the late-fence code [[Ovc.LateFence]]; fence tests
+  * subsume code comparisons, as in the paper's F1 implementation (§5). The
+  * entry count is padded to a power of two with fences. Ties are won by the
+  * lower entry index, making the merge stable; the losing duplicate is
+  * re-coded with the duplicate code 0.
+  *
+  * Cursor use: while [[hasNext]], read [[winner]]'s [[key]], [[code]] and
+  * [[payload]], then [[advance]]. [[next]] wraps the same steps in a
+  * [[CodedRow]].
   */
-final class LoserTree(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats)
-    extends Iterator[CodedRow] {
+final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, stats: OvcStats,
+                               capacity: Int) extends Iterator[CodedRow] {
 
-  private[this] val m = inputs.length
-  require(m > 0, "LoserTree needs at least one input")
+  def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
+    this(inputs.toArray, arity, stats, inputs.length)
 
-  // Entry count padded to a power of two; padding entries are permanent fences.
-  private[this] val treeSize: Int = { var s = 1; while (s < m) s <<= 1; s }
+  // Entries in use, and that count padded to a power of two.
+  private[this] var m = 0
+  private[this] var treeSize = 1
 
-  private[this] val keys     = new Array[Array[Long]](treeSize)
-  private[this] val codes    = new Array[Long](treeSize)
-  private[this] val payloads = new Array[Array[Long]](treeSize)
+  private[this] var keys     = new Array[Array[Long]](LoserTree.pow2(capacity))
+  private[this] var codes    = new Array[Long](keys.length)
+  private[this] var payloads = new Array[Array[Long]](keys.length)
   // node(1..treeSize-1): entry index of the loser at each internal node;
   // node(0): the overall winner.
-  private[this] val node = new Array[Int](treeSize)
+  private[this] var node = new Array[Int](keys.length)
 
   private[this] val cmp = new OvcComparator(arity, stats)
 
-  private def advanceEntry(e: Int): Unit = {
+  if (inputs != null) {
+    require(inputs.nonEmpty, "LoserTree needs at least one input")
+    m = inputs.length
+    treeSize = keys.length
+    var e = 0
+    while (e < treeSize) { pull(e); e += 1 }
+    build()
+  } else codes(0) = Ovc.LateFence // an empty row buffer has nothing to emit
+
+  /** Merge mode: load entry `e` with its input's next row, or a fence. */
+  private def pull(e: Int): Unit =
     if (e < m && inputs(e).hasNext) {
       val r = inputs(e).next()
       keys(e) = r.key; codes(e) = r.code; payloads(e) = r.payload
-    } else {
-      keys(e) = null; codes(e) = Ovc.LateFence; payloads(e) = null
-    }
-  }
+    } else codes(e) = Ovc.LateFence
 
   /** Returns the winning entry of a comparison, updating the loser's code. */
   private def playMatch(a: Int, b: Int): Int = {
@@ -59,37 +81,105 @@ final class LoserTree(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats:
     else { codes(a) = cmp.loserCode; b }
   }
 
-  // Initialization: fill all entries, then run the initial tournament
-  // bottom-up; each internal node keeps its loser, the winner moves up.
-  {
-    var e = 0
-    while (e < treeSize) { advanceEntry(e); e += 1 }
-    def build(k: Int): Int =
-      if (k >= treeSize) k - treeSize
-      else {
-        val l = build(2 * k); val r = build(2 * k + 1)
-        val w = playMatch(l, r)
-        node(k) = if (w == l) r else l
-        w
-      }
-    node(0) = if (treeSize == 1) 0 else build(1)
-  }
+  /** The initial tournament over all entries, bottom-up: each internal node
+    * keeps its loser, the winner moves up.
+    */
+  private def build(): Unit = node(0) = if (treeSize == 1) 0 else build(1)
+
+  private def build(k: Int): Int =
+    if (k >= treeSize) k - treeSize
+    else {
+      val l = build(2 * k); val r = build(2 * k + 1)
+      val w = playMatch(l, r)
+      node(k) = if (w == l) r else l
+      w
+    }
+
+  /** Entry index of the current winner. */
+  def winner: Int = node(0)
+  def key(e: Int): Array[Long] = keys(e)
+  def code(e: Int): Long = codes(e)
+  def payload(e: Int): Array[Long] = payloads(e)
 
   override def hasNext: Boolean = codes(node(0)) != Ovc.LateFence
+
+  /** Replaces the winner with its successor (merge) or a fence (row buffer)
+    * and replays its leaf-to-root path.
+    */
+  def advance(): Unit = {
+    val w = node(0)
+    if (inputs != null) pull(w) else codes(w) = Ovc.LateFence
+    var cur = w
+    var k = (treeSize + w) >> 1
+    while (k >= 1) {
+      val won = playMatch(cur, node(k))
+      if (won != cur) { node(k) = cur; cur = won }
+      k >>= 1
+    }
+    node(0) = cur
+  }
 
   override def next(): CodedRow = {
     val w = node(0)
     val out = CodedRow(keys(w), codes(w), payloads(w))
-    // Replace the winner with its successor and replay its leaf-to-root path.
-    advanceEntry(w)
-    var cur = w
-    var k = (treeSize + w) >> 1
-    while (k >= 1) {
-      val winner = playMatch(cur, node(k))
-      if (winner != cur) { node(k) = cur; cur = winner }
-      k >>= 1
-    }
-    node(0) = cur
+    advance()
     out
   }
+
+  // --- Row-buffer mode ---
+
+  /** Rows buffered since the last [[clear]]. */
+  def rows: Int = m
+
+  /** Empties the row buffer; the arrays are kept for the next fill. */
+  def clear(): Unit = {
+    require(inputs == null, "clear is for row-buffer trees")
+    m = 0
+    treeSize = 1
+    node(0) = 0
+    codes(0) = Ovc.LateFence
+  }
+
+  /** Buffers one row (row-buffer trees only); the tree keeps the references,
+    * not copies.
+    */
+  def add(key: Array[Long], payload: Array[Long]): Unit = {
+    if (m == keys.length) grow()
+    keys(m) = key; payloads(m) = payload
+    m += 1
+  }
+
+  /** Starts the tournament over the buffered rows, each a single-row run coded
+    * relative to a base that shares its first `base` columns: offset `base`,
+    * value `key(base)`.
+    */
+  def sortRows(base: Int): Unit = {
+    require(inputs == null, "sortRows is for row-buffer trees")
+    require(base >= 0 && base < arity, s"bad base offset $base for arity $arity")
+    treeSize = LoserTree.pow2(m) // the arrays' length is a power of two >= m
+    var e = 0
+    while (e < m) { codes(e) = Ovc.pack(arity, base, keys(e)(base)); e += 1 }
+    while (e < treeSize) { codes(e) = Ovc.LateFence; e += 1 }
+    build()
+  }
+
+  private def grow(): Unit = {
+    val n = 2 * keys.length
+    keys = java.util.Arrays.copyOf(keys, n)
+    codes = new Array[Long](n) // sortRows sets every code
+    payloads = java.util.Arrays.copyOf(payloads, n)
+    node = new Array[Int](n)
+  }
+}
+
+object LoserTree {
+
+  /** An empty row-buffer tree; its arrays start with room for `capacity`
+    * rows and grow as rows are added.
+    */
+  def forRows(arity: Int, stats: OvcStats, capacity: Int = 16): LoserTree =
+    new LoserTree(null, arity, stats, math.max(1, capacity))
+
+  /** The least power of two >= n (1 for n <= 1). */
+  private def pow2(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
 }

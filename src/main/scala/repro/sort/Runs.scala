@@ -37,35 +37,55 @@ object RunFile {
     d
   }
 
+  /** Writes one run to a new file under `dir`, row by row, straight from the
+    * caller's key, code and payload: no row object per row. Call `finish`
+    * after the last row.
+    */
+  final class Writer(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats) {
+    val path: Path = Files.createTempFile(dir, "run", ".bin")
+    path.toFile.deleteOnExit()
+    private[this] val out =
+      new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile), 1 << 16))
+    private[this] var n = 0L
+
+    def write(key: Array[Long], code: Long, payload: Array[Long]): Unit = {
+      out.writeByte(1)
+      var i = 0
+      while (i < arity) { out.writeLong(key(i)); i += 1 }
+      out.writeLong(code)
+      i = 0
+      while (i < payloadArity) { out.writeLong(payload(i)); i += 1 }
+      n += 1
+    }
+
+    /** Ends the run and books it in `spill`; returns the file path. */
+    def finish(): Path = {
+      try out.writeByte(0) finally out.close()
+      spill.rowsSpilled += n
+      spill.runsWritten += 1
+      spill.bytesSpilled += Files.size(path)
+      path
+    }
+
+    /** Gives up the run: closes and deletes the file, books nothing. */
+    def abort(): Unit = {
+      try out.close() finally Files.deleteIfExists(path)
+    }
+  }
+
   /** Write `rows` as one run; returns the file path. Updates `spill`. */
   def write(dir: Path, arity: Int, payloadArity: Int,
             rows: Iterator[CodedRow], spill: SpillStats): Path = {
-    val path = Files.createTempFile(dir, "run", ".bin")
-    path.toFile.deleteOnExit()
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile), 1 << 16))
-    var n = 0L
+    val w = new Writer(dir, arity, payloadArity, spill)
     try {
-      while (rows.hasNext) {
-        val r = rows.next()
-        out.writeByte(1)
-        var i = 0
-        while (i < arity) { out.writeLong(r.key(i)); i += 1 }
-        out.writeLong(r.code)
-        i = 0
-        while (i < payloadArity) { out.writeLong(r.payload(i)); i += 1 }
-        n += 1
-      }
-      out.writeByte(0)
-    } finally out.close()
-    spill.rowsSpilled += n
-    spill.runsWritten += 1
-    spill.bytesSpilled += Files.size(path)
-    path
+      while (rows.hasNext) { val r = rows.next(); w.write(r.key, r.code, r.payload) }
+    } catch { case t: Throwable => w.abort(); throw t }
+    w.finish()
   }
 
-  /** Stream a run back; the file is deleted once fully consumed. */
-  def reader(path: Path, arity: Int, payloadArity: Int): Iterator[CodedRow] =
-    new Iterator[CodedRow] {
+  /** Stream a run back; the file is deleted once fully consumed or closed. */
+  def reader(path: Path, arity: Int, payloadArity: Int): CloseableIterator[CodedRow] =
+    new CloseableIterator[CodedRow] {
       private[this] val in =
         new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile), 1 << 16))
       private[this] var done = false
@@ -73,11 +93,8 @@ object RunFile {
 
       private def load(): Unit =
         if (!done && pending == null) {
-          if (in.readByte() == 0) {
-            done = true
-            in.close()
-            Files.deleteIfExists(path)
-          } else {
+          if (in.readByte() == 0) close()
+          else {
             val key = new Array[Long](arity)
             var i = 0
             while (i < arity) { key(i) = in.readLong(); i += 1 }
@@ -96,5 +113,16 @@ object RunFile {
         if (r == null) throw new NoSuchElementException("run exhausted")
         r
       }
+      override def close(): Unit =
+        if (!done) {
+          done = true
+          pending = null
+          try in.close() finally Files.deleteIfExists(path)
+        }
     }
 }
+
+/** An iterator that holds resources, such as spill files, until it is
+  * drained or closed. `close` is idempotent.
+  */
+trait CloseableIterator[+A] extends Iterator[A] with AutoCloseable

@@ -1,12 +1,12 @@
 package repro.spark
 
-import org.apache.spark.RangePartitioner
+import org.apache.spark.{RangePartitioner, TaskContext}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
-import repro.ops.{DedupOp, GroupAggOp, JoinType, MergeJoinOp}
+import repro.ops.{GroupAggOp, JoinType, MergeJoinOp}
 import repro.sort.ExternalSort
 
 /** A key vector with lexicographic ordering, usable as a Spark shuffle key
@@ -131,9 +131,15 @@ object OvcSpark {
     val joined = p1.zipPartitions(p2) { (i1, i2) =>
       val stats = new OvcStats
       val spill = new repro.sort.SpillStats
-      def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] =
-        DedupOp(ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
-                                  memRows = 1 << 20, stats, spill, dedup = true))
+      // In-sort dedup drops duplicate codes on both the in-memory and the
+      // spilling path. The semi join may stop before the right sort ends, so
+      // task completion closes both sorts and deletes their unread runs.
+      def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] = {
+        val sorted = ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
+                                       memRows = 1 << 20, stats, spill, dedup = true)
+        Option(TaskContext.get()).foreach(_.addTaskCompletionListener[Unit](_ => sorted.close()))
+        sorted
+      }
       MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
                   JoinType.LeftSemi, stats)
         .map(r => Row.fromSeq(r.key.toSeq))

@@ -12,8 +12,9 @@ import repro.sort.{ExternalSort, SpillStats}
 class PipelineSpec extends AnyFunSuite {
 
   private def sortAll(rows: Array[ERow], arity: Int, stats: OvcStats,
-                      dedup: Boolean = false, memRows: Int = 100000): Iterator[CodedRow] =
-    ExternalSort.sort(rows.iterator, arity, 0, memRows, stats, new SpillStats, dedup)
+                      dedup: Boolean = false, memRows: Int = 100000,
+                      payloadArity: Int = 0): Iterator[CodedRow] =
+    ExternalSort.sort(rows.iterator, arity, payloadArity, memRows, stats, new SpillStats, dedup)
 
   test("count(distinct) two-step: in-sort dedup on (g,d), then in-stream count on g") {
     // The paper's §3 example: "select ..., count(distinct ...) group by ...".
@@ -52,7 +53,7 @@ class PipelineSpec extends AnyFunSuite {
     val orders = DataGen.randomRows(2000, 2, 12, seed = 3)            // (custkey, orderkey)
     val items = DataGen.randomRows(6000, 2, 12, seed = 4, payloadArity = 1) // (custkey, orderkey)-ish
     val stats = new OvcStats
-    val j = MergeJoinOp(sortAll(orders, 2, stats), 2, sortAll(items, 2, stats), 2,
+    val j = MergeJoinOp(sortAll(orders, 2, stats), 2, sortAll(items, 2, stats, payloadArity = 1), 2,
                         joinLen = 1, JoinType.Inner, stats, rightPayloadArity = 1)
     val perCust = GroupAggOp.countByOvc(j, 2, 1, stats).toVector
     // Reference: inner-join row count per first column.

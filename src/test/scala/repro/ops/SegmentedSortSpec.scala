@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
 import repro.core._
+import repro.sort.LoserTree
 
 /** Segmented sorting (paper §4.3): a stream sorted on (S, B) re-sorted on
   * (S, C) one segment at a time, with OVCs maintained throughout.
@@ -65,5 +66,41 @@ class SegmentedSortSpec extends AnyFunSuite {
   test("empty input") {
     val stats = new OvcStats
     assert(SegmentedSortOp(Iterator.empty, 3, 1, 1, stats).isEmpty)
+  }
+
+  /** Segmented sort rebuilt from merge-mode trees: split where the offset
+    * falls below `segLen` (one code comparison per row past the first), merge
+    * each segment from single-row runs coded at offset `segLen`, and give each
+    * segment's first row its boundary code.
+    */
+  private def referenceSegmented(in: Vector[CodedRow], inArity: Int, segLen: Int, cLen: Int,
+                                 stats: OvcStats): Vector[CodedRow] = {
+    val newArity = segLen + cLen
+    stats.codeComparisons += math.max(0, in.size - 1)
+    val starts = in.indices.filter(i => i == 0 || Ovc.offsetOf(in(i).code, inArity) < segLen)
+    (starts :+ in.size).sliding(2).filter(_.size == 2).flatMap { case Seq(a, b) =>
+      val seg = in.slice(a, b)
+      val singles = seg.map { r =>
+        val key = r.key.take(segLen) ++ r.payload.take(cLen)
+        Iterator.single(CodedRow(key, Ovc.pack(newArity, segLen, key(segLen)), r.payload))
+      }
+      val sorted = new LoserTree(singles, newArity, stats).toVector
+      val first = seg.head.code
+      sorted.head.copy(code = Ovc.pack(newArity, Ovc.offsetOf(first, inArity), Ovc.valueOf(first))) +:
+        sorted.tail
+    }.toVector
+  }
+
+  for (seed <- 0 until 3; segLen <- Seq(1, 2); cLen <- Seq(1, 2)) {
+    test(s"segmented sort matches single-row-run trees exactly, counters included " +
+         s"(segLen=$segLen, cLen=$cLen, seed=$seed)") {
+      val (in, _, inArity, _) = makeCase(900, segLen, bLen = 2, cLen, dpc = 3, seed + 10)
+      val stats, refStats = new OvcStats
+      val out = SegmentedSortOp(in.iterator, inArity, segLen, cLen, stats).toVector
+      val expected = referenceSegmented(in, inArity, segLen, cLen, refStats)
+      assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      assert(stats.toString == refStats.toString)
+    }
   }
 }

@@ -1,5 +1,7 @@
 package repro.sort
 
+import java.nio.file.Files
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
@@ -105,5 +107,124 @@ class ExternalSortSpec extends AnyFunSuite {
     val (out, _, _) = run(Array(ERow(Array(7L, 8L))), 2, 100)
     assert(out.map(_.key.toVector) == Vector(Vector(7L, 8L)))
     assert(out.head.code == Ovc.initial(Array(7L, 8L)))
+  }
+
+  /** The sort rebuilt from merge-mode trees alone: each `memRows` chunk is
+    * merged from single-row runs, runs stay in memory and are merged `fanIn`
+    * at a time. Returns the output and the rows the real sort would spill.
+    */
+  private def referenceSort(rows: Array[ERow], arity: Int, memRows: Int, dedup: Boolean,
+                            fanIn: Int, stats: OvcStats): (Vector[CodedRow], Long) = {
+    def merge(inputs: IndexedSeq[Iterator[CodedRow]]): Vector[CodedRow] = {
+      val merged = new LoserTree(inputs, arity, stats)
+      (if (dedup) merged.filterNot(r => Ovc.isDup(r.code)) else merged).toVector
+    }
+    val chunks = rows.grouped(memRows).toVector
+    var runs = chunks.map(c => merge(c.toIndexedSeq.map { r =>
+      Iterator.single(CodedRow(r.key, Ovc.initial(r.key), r.payload))
+    }))
+    if (runs.size == 1) return (runs.head, 0L)
+    var spilled = runs.map(_.size.toLong).sum
+    while (runs.size > fanIn) {
+      runs = runs.grouped(fanIn).map(g => merge(g.map(_.iterator))).toVector
+      spilled += runs.map(_.size.toLong).sum
+    }
+    (merge(runs.map(_.iterator)), spilled)
+  }
+
+  for (seed <- 0 until 2; memRows <- Seq(1, 7, 64, 1000); dedup <- Seq(false, true)) {
+    test(s"row-buffer run generation matches single-row-run trees exactly " +
+         s"(memRows=$memRows, dedup=$dedup, seed=$seed)") {
+      val rows = DataGen.randomRows(600, 3, 4, seed, payloadArity = 1)
+      val refStats = new OvcStats
+      val (expected, expectedSpill) = referenceSort(rows, 3, memRows, dedup, ExternalSort.DefaultFanIn, refStats)
+      val (out, stats, spill) = run(rows, 3, memRows, dedup, payloadArity = 1)
+      assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      assert(stats.toString == refStats.toString, "code, column and row comparisons must match")
+      assert(spill.rowsSpilled == expectedSpill)
+      OvcInvariants.verifyChain(out, 3)
+    }
+  }
+
+  test("row-buffer run generation matches single-row-run trees across merge levels") {
+    val rows = DataGen.randomRows(700, 2, 5, seed = 4, payloadArity = 1)
+    for (dedup <- Seq(false, true)) {
+      val refStats = new OvcStats
+      val (expected, expectedSpill) = referenceSort(rows, 2, memRows = 13, dedup, fanIn = 3, refStats)
+      val (out, stats, spill) = run(rows, 2, memRows = 13, dedup, fanIn = 3, payloadArity = 1)
+      assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      assert(stats.toString == refStats.toString)
+      assert(spill.rowsSpilled == expectedSpill)
+      assert(spill.mergeLevels == 3)
+    }
+  }
+
+  private def withTmpDir(body: java.nio.file.Path => Unit): Unit = {
+    val dir = Files.createTempDirectory("ovc-sort-spec")
+    try body(dir)
+    finally {
+      Option(dir.toFile.listFiles).foreach(_.foreach(_.delete()))
+      Files.deleteIfExists(dir)
+    }
+  }
+
+  test("closing a half-drained sort deletes its run files from an explicit tmpDir") {
+    withTmpDir { dir =>
+      val rows = DataGen.randomRows(5000, 3, 50, seed = 8)
+      val it = ExternalSort.sort(rows.iterator, 3, 0, 500, new OvcStats, new SpillStats, tmpDir = dir)
+      assert(dir.toFile.list().length == 10)
+      (0 until 2500).foreach(_ => it.next())
+      it.close()
+      assert(dir.toFile.list().isEmpty)
+      assert(!it.hasNext)
+      it.close() // idempotent
+    }
+  }
+
+  test("draining a sort deletes its run files") {
+    withTmpDir { dir =>
+      val rows = DataGen.randomRows(3000, 2, 40, seed = 9)
+      val it = ExternalSort.sort(rows.iterator, 2, 0, 400, new OvcStats, new SpillStats, tmpDir = dir)
+      assert(it.size == 3000)
+      assert(dir.toFile.list().isEmpty)
+    }
+  }
+
+  test("keys outside [0, 2^48) fail fast, naming the row and the value") {
+    // 3,000 random 3-column keys in [-50, 50].
+    val rnd = new scala.util.Random(12)
+    val rows = Array.fill(3000)(ERow(Array.fill(3)(rnd.nextInt(101) - 50L)))
+    val bad = rows.indexWhere(_.key.exists(_ < 0))
+    val value = rows(bad).key.find(_ < 0).get
+    val e = intercept[IllegalArgumentException](run(rows, 3, memRows = 256))
+    assert(e.getMessage.contains(s"row $bad:") && e.getMessage.contains(s"value $value "),
+           e.getMessage)
+
+    val big = Array(ERow(Array(1L, 2L)), ERow(Array(3L, 1L << 48)))
+    val e2 = intercept[IllegalArgumentException](run(big, 2, memRows = 100))
+    assert(e2.getMessage.contains("row 1:") && e2.getMessage.contains(s"value ${1L << 48} "),
+           e2.getMessage)
+  }
+
+  test("a key or payload of the wrong length fails fast, naming the row") {
+    val short = Array(ERow(Array(1L, 2L, 3L)), ERow(Array(4L, 5L)))
+    val e = intercept[IllegalArgumentException](run(short, 3, memRows = 100))
+    assert(e.getMessage.contains("row 1:") && e.getMessage.contains("2 columns"), e.getMessage)
+
+    val pay = Array(ERow(Array(1L), Array(9L)), ERow(Array(2L), Array(9L)))
+    val e2 = intercept[IllegalArgumentException](run(pay, 1, memRows = 100, payloadArity = 2))
+    assert(e2.getMessage.contains("row 0:") && e2.getMessage.contains("payload"), e2.getMessage)
+  }
+
+  test("a sort that fails after spilling deletes the runs it wrote") {
+    withTmpDir { dir =>
+      val rows = DataGen.randomRows(2000, 2, 40, seed = 10) :+ ERow(Array(-1L, 0L))
+      intercept[IllegalArgumentException] {
+        ExternalSort.sort(rows.iterator, 2, 0, 300, new OvcStats, new SpillStats, tmpDir = dir)
+      }
+      assert(dir.toFile.list().isEmpty)
+    }
   }
 }

@@ -90,4 +90,43 @@ class LoserTreeSpec extends AnyFunSuite {
     assert(out.map(_.payload.toVector) == expected.map(_.payload.toVector))
     OvcInvariants.verifyChain(out, 3)
   }
+
+  /** Drains `tree` through the cursor API. */
+  private def drain(tree: LoserTree): Vector[(Vector[Long], Long, Vector[Long])] = {
+    val out = Vector.newBuilder[(Vector[Long], Long, Vector[Long])]
+    while (tree.hasNext) {
+      val e = tree.winner
+      out += ((tree.key(e).toVector, tree.code(e), tree.payload(e).toVector))
+      tree.advance()
+    }
+    out.result()
+  }
+
+  test("a refilled row buffer sorts like single-row runs, with the same comparisons") {
+    val arity = 4
+    val stats = new OvcStats
+    val buffer = LoserTree.forRows(arity, stats, capacity = 2)
+    // Refills of falling and rising size reuse and grow the same tree; every
+    // row of a fill shares its first `base` columns.
+    for ((n, base, seed) <- Seq((300, 0, 1), (37, 1, 2), (1, 0, 3), (0, 0, 4), (513, 2, 5))) {
+      val prefix = Array.fill(base)(7L)
+      val rows = DataGen.randomRows(n, arity - base, 3, seed, payloadArity = 1)
+        .map(r => ERow(prefix ++ r.key, r.payload))
+      val refStats = new OvcStats
+      val singles = rows.toIndexedSeq.map { r =>
+        Iterator.single(CodedRow(r.key, Ovc.pack(arity, base, r.key(base)), r.payload))
+      }
+      val expected =
+        if (n == 0) Vector.empty
+        else new LoserTree(singles, arity, refStats).map(r => (r.key.toVector, r.code, r.payload.toVector)).toVector
+
+      stats.reset()
+      buffer.clear()
+      rows.foreach(r => buffer.add(r.key, r.payload))
+      assert(buffer.rows == n)
+      buffer.sortRows(base)
+      assert(drain(buffer) == expected, s"fill of $n rows at base $base")
+      assert(stats.toString == refStats.toString, s"fill of $n rows at base $base")
+    }
+  }
 }
