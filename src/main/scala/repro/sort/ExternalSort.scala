@@ -45,9 +45,7 @@ object ExternalSort {
            stats: OvcStats, spill: SpillStats, dedup: Boolean = false,
            fanIn: Int = DefaultFanIn, tmpDir: Path = null): CloseableIterator[CodedRow] = {
     require(memRows > 0, "memRows must be positive")
-    // The buffer grows to memRows as rows arrive, so a small input under a
-    // large memRows stays small.
-    val tree = LoserTree.forRows(arity, stats, math.min(memRows, 1 << 16))
+    val tree = LoserTree.forRows(arity, stats)
     var rowNo = 0L
 
     // Buffers the next chunk of up to memRows rows and sorts it.
@@ -65,7 +63,7 @@ object ExternalSort {
     fill()
     if (!input.hasNext) return new SortedStream(dedupFilter(tree, dedup), () => ()) // no spill
 
-    val files = new SortFiles(tmpDir)
+    val files = new SortFiles(tmpDir, arity, payloadArity)
     try {
       var runs = Vector(writeRun(tree, files, arity, payloadArity, dedup, spill))
       while (input.hasNext) {
@@ -79,9 +77,7 @@ object ExternalSort {
         runs = runs
           .grouped(fanIn)
           .map { g =>
-            val merged = dedupFilter(
-              new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats),
-              dedup)
+            val merged = dedupFilter(new LoserTree(g.map(files.reader), arity, stats), dedup)
             val path = RunFile.write(files.dir, arity, payloadArity, merged, spill)
             files.written += path
             path
@@ -89,9 +85,8 @@ object ExternalSort {
           .toVector
       }
 
-      val readers = runs.map(p => RunFile.reader(p, arity, payloadArity))
-      new SortedStream(dedupFilter(new LoserTree(readers, arity, stats), dedup),
-                       () => { readers.foreach(_.close()); files.delete() })
+      new SortedStream(dedupFilter(new LoserTree(runs.map(files.reader), arity, stats), dedup),
+                       () => files.delete())
     } catch {
       case t: Throwable => files.delete(); throw t
     }
@@ -137,14 +132,25 @@ object ExternalSort {
   private def dedupFilter(it: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
     if (dedup) it.filterNot(r => Ovc.isDup(r.code)) else it
 
-  /** The run files of one sort, and the temp dir it made for them, if any. */
-  private final class SortFiles(tmpDir: Path) {
+  /** The run files of one sort, the readers opened on them, and the temp dir
+    * it made for them, if any.
+    */
+  private final class SortFiles(tmpDir: Path, arity: Int, payloadArity: Int) {
     private[this] val ownDir = tmpDir == null
     val dir: Path = if (ownDir) RunFile.newTempDir("ovc-sort") else tmpDir
     val written = ArrayBuffer.empty[Path]
+    private[this] val readers = ArrayBuffer.empty[CloseableIterator[CodedRow]]
 
+    def reader(run: Path): CloseableIterator[CodedRow] = {
+      val r = RunFile.reader(run, arity, payloadArity)
+      readers += r
+      r
+    }
+
+    /** Closes every reader, then deletes the files and the own temp dir. */
     def delete(): Unit = {
-      written.foreach(Files.deleteIfExists)
+      try readers.foreach(_.close())
+      finally written.foreach(Files.deleteIfExists)
       if (ownDir) Files.deleteIfExists(dir)
     }
   }

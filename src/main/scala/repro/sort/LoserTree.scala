@@ -33,17 +33,19 @@ import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
   * [[payload]], then [[advance]]. [[next]] wraps the same steps in a
   * [[CodedRow]].
   */
-final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, stats: OvcStats,
-                               capacity: Int) extends Iterator[CodedRow] {
+final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, stats: OvcStats)
+    extends Iterator[CodedRow] {
 
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
-    this(inputs.toArray, arity, stats, inputs.length)
+    this(inputs.toArray, arity, stats)
 
   // Entries in use, and that count padded to a power of two.
   private[this] var m = 0
   private[this] var treeSize = 1
 
-  private[this] var keys     = new Array[Array[Long]](LoserTree.pow2(capacity))
+  // A row buffer starts small; add() doubles the arrays as rows arrive.
+  private[this] var keys     =
+    new Array[Array[Long]](LoserTree.pow2(if (inputs != null) inputs.length else 16))
   private[this] var codes    = new Array[Long](keys.length)
   private[this] var payloads = new Array[Array[Long]](keys.length)
   // node(1..treeSize-1): entry index of the loser at each internal node;
@@ -174,11 +176,8 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
 
 object LoserTree {
 
-  /** An empty row-buffer tree; its arrays start with room for `capacity`
-    * rows and grow as rows are added.
-    */
-  def forRows(arity: Int, stats: OvcStats, capacity: Int = 16): LoserTree =
-    new LoserTree(null, arity, stats, math.max(1, capacity))
+  /** An empty row-buffer tree; its arrays grow as rows are added. */
+  def forRows(arity: Int, stats: OvcStats): LoserTree = new LoserTree(null, arity, stats)
 
   /** The least power of two >= n (1 for n <= 1). */
   private def pow2(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }

@@ -1,6 +1,9 @@
 package repro.sort
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path, Paths}
+
+import scala.jdk.CollectionConverters._
+import scala.util.Try
 
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -224,6 +227,36 @@ class ExternalSortSpec extends AnyFunSuite {
       intercept[IllegalArgumentException] {
         ExternalSort.sort(rows.iterator, 2, 0, 300, new OvcStats, new SpillStats, tmpDir = dir)
       }
+      assert(dir.toFile.list().isEmpty)
+    }
+  }
+
+  test("a sort that fails opening its runs for the merge closes the readers it opened") {
+    val fds = Paths.get("/proc/self/fd")
+    assume(Files.isDirectory(fds), "needs /proc/self/fd to list open files")
+    def openUnder(dir: Path): Seq[Path] = {
+      val links = Files.list(fds)
+      try links.iterator.asScala.flatMap(fd => Try(Files.readSymbolicLink(fd)).toOption)
+        .filter(_.startsWith(dir)).toVector
+      finally links.close()
+    }
+    withTmpDir { dir =>
+      def runFiles = dir.toFile.list().toSet
+      val rows = DataGen.randomRows(700, 2, 40, seed = 11).iterator
+      // When the input ends, delete the run written since the last row was
+      // read, so the final merge opens the other runs and then fails.
+      var seen = Set.empty[String]
+      val input = new Iterator[ERow] {
+        override def hasNext: Boolean = rows.hasNext || {
+          (runFiles -- seen).foreach(f => Files.delete(dir.resolve(f)))
+          false
+        }
+        override def next(): ERow = { seen = runFiles; rows.next() }
+      }
+      intercept[java.io.IOException] {
+        ExternalSort.sort(input, 2, 0, 300, new OvcStats, new SpillStats, tmpDir = dir)
+      }
+      assert(openUnder(dir).isEmpty)
       assert(dir.toFile.list().isEmpty)
     }
   }

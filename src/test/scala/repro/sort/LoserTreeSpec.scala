@@ -105,7 +105,7 @@ class LoserTreeSpec extends AnyFunSuite {
   test("a refilled row buffer sorts like single-row runs, with the same comparisons") {
     val arity = 4
     val stats = new OvcStats
-    val buffer = LoserTree.forRows(arity, stats, capacity = 2)
+    val buffer = LoserTree.forRows(arity, stats)
     // Refills of falling and rising size reuse and grow the same tree; every
     // row of a fill shares its first `base` columns.
     for ((n, base, seed) <- Seq((300, 0, 1), (37, 1, 2), (1, 0, 3), (0, 0, 4), (513, 2, 5))) {
