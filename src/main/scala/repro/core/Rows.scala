@@ -21,6 +21,15 @@ final case class CodedRow(key: Array[Long], code: Long, payload: Array[Long]) {
     s"CodedRow(${key.mkString("[", ",", "]")}, code=$code, ${payload.mkString("[", ",", "]")})"
 }
 
+object CodedRow {
+
+  /** A row with its own copies of `key` and `payload`, for sources that
+    * reuse their arrays; an empty payload is shared, not copied.
+    */
+  def copyOf(key: Array[Long], code: Long, payload: Array[Long]): CodedRow =
+    CodedRow(key.clone(), code, if (payload.length == 0) payload else payload.clone())
+}
+
 /** Invariant checks shared by tests and debug assertions. */
 object OvcInvariants {
 

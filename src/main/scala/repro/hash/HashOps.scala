@@ -5,7 +5,7 @@ import java.nio.file.Path
 import scala.collection.mutable
 
 import repro.core.{CodedRow, ERow, OvcStats}
-import repro.sort.{RunFile, SpillStats}
+import repro.sort.{CloseableIterator, SpillFiles, SpillStats}
 
 /** Hashable wrapper for a key array; computing the hash touches every column
   * (charged to `OvcStats.hashColumnAccesses` by callers), mirroring the
@@ -36,6 +36,74 @@ private[hash] object SpillPart {
   }
 }
 
+/** The spill side of one grace-hash level: rows go to `nParts` partitions,
+  * buffered in batches and flushed through `files` as runs, so spill
+  * accounting and file I/O are real. `toRun` makes the row a run stores.
+  */
+private[hash] final class Partitions(nParts: Int, files: SpillFiles, spill: SpillStats,
+                                     toRun: ERow => CodedRow) {
+  private[this] val batches = Array.fill(nParts)(new mutable.ArrayBuffer[ERow]())
+  private[this] val runs = Array.fill(nParts)(mutable.ArrayBuffer.empty[Path])
+
+  def add(p: Int, r: ERow): Unit = {
+    batches(p) += r
+    if (batches(p).size >= 65536) flush(p)
+  }
+
+  private def flush(p: Int): Unit =
+    if (batches(p).nonEmpty) {
+      runs(p) += files.write(batches(p).iterator.map(toRun), spill)
+      batches(p).clear()
+    }
+
+  /** Flushes every batch; returns each partition's runs. */
+  def finish(): Array[Vector[Path]] = {
+    (0 until nParts).foreach(flush)
+    runs.map(_.toVector)
+  }
+}
+
+private[hash] object Partitions {
+
+  /** Reads back the rows of the runs `paths`, written through `files`. */
+  def read(files: SpillFiles, paths: Seq[Path]): Iterator[ERow] =
+    paths.iterator.flatMap(f => files.reader(f).map(c => ERow(c.key, c.payload)))
+}
+
+/** A hash operator's result: `first`, then the result `part(p)` of each
+  * spilled partition, built only when reached. Draining or closing it closes
+  * the partition result in progress, then deletes the level's spill `files`
+  * and the temp dir they made; `close` is idempotent.
+  */
+private[hash] final class SpilledResult(first: Iterator[ERow], nParts: Int,
+                                        part: Int => Iterator[ERow], files: SpillFiles)
+    extends CloseableIterator[ERow] {
+  private[this] var cur = first
+  private[this] var p = 0
+  private[this] var open = true
+
+  override def hasNext: Boolean = open && {
+    while (!cur.hasNext && p < nParts) { closeCur(); cur = part(p); p += 1 }
+    cur.hasNext || { close(); false }
+  }
+
+  override def next(): ERow = {
+    if (!hasNext) throw new NoSuchElementException("hash result exhausted or closed")
+    cur.next()
+  }
+
+  override def close(): Unit =
+    if (open) {
+      open = false
+      try closeCur() finally files.delete()
+    }
+
+  private def closeCur(): Unit = cur match {
+    case c: AutoCloseable => c.close()
+    case _ =>
+  }
+}
+
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table
   * and partitioned spill to local files — the "hash aggregation" blocking
   * operators of the paper's Figure 2 hash plan.
@@ -47,64 +115,38 @@ object HashAgg {
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
     * unseen groups spill to one of [[SpillPartitions]] files, processed
-    * recursively after the input drains.
+    * recursively after the input drains. Closing the result before it is
+    * drained deletes the partition files not yet read, and the temp dir the
+    * call made; draining it does the same.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats,
-                 tmpDir: Path = null, level: Int = 0): Iterator[ERow] = {
+                 tmpDir: Path = null, level: Int = 0): CloseableIterator[ERow] = {
     require(memGroups > 0)
-    val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-agg")
-    val map = new mutable.HashMap[LongsKey, Array[Long]]()
+    val files = new SpillFiles(tmpDir, "hash-agg", arity, 1)
+    try {
+      val map = new mutable.HashMap[LongsKey, Array[Long]]()
+      def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
+      val parts = new Partitions(SpillPartitions, files, spill, r => CodedRow(r.key, 0L, Array(weight(r))))
 
-    // Buffer spill rows per partition in small batches, flushing through
-    // RunFile so spill accounting and file I/O are real.
-    val batches = Array.fill(SpillPartitions)(new mutable.ArrayBuffer[ERow]())
-    val files = Array.fill(SpillPartitions)(mutable.ArrayBuffer.empty[Path])
-    def flush(p: Int): Unit =
-      if (batches(p).nonEmpty) {
-        files(p) += RunFile.write(dir, arity, 1,
-          batches(p).iterator.map(r => CodedRow(r.key, 0L, Array(weight(r)))), spill)
-        batches(p).clear()
-      }
-
-    def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
-
-    input.foreach { r =>
-      stats.hashColumnAccesses += arity // hash function touches every column
-      val k = new LongsKey(r.key)
-      map.get(k) match {
-        case Some(cell) => cell(0) += weight(r)
-        case None =>
-          if (map.size < memGroups) map.put(k, Array(weight(r)))
-          else {
-            val p = SpillPart(k.hashCode, level, SpillPartitions)
-            batches(p) += r
-            if (batches(p).size >= 65536) flush(p)
-          }
-      }
-    }
-
-    val inMemory = map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }
-    var result = inMemory
-    var p = 0
-    while (p < SpillPartitions) {
-      flush(p)
-      val partFiles = files(p).toVector
-      if (partFiles.nonEmpty) {
-        // Lazily recurse into each spilled partition once reached.
-        result = result ++ new Iterator[ERow] {
-          private lazy val inner: Iterator[ERow] = {
-            val rows = partFiles.iterator.flatMap(f =>
-              RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-            groupCount(rows, arity, memGroups, spill, stats, dir, level + 1)
-          }
-          override def hasNext: Boolean = inner.hasNext
-          override def next(): ERow = inner.next()
+      input.foreach { r =>
+        stats.hashColumnAccesses += arity // hash function touches every column
+        val k = new LongsKey(r.key)
+        map.get(k) match {
+          case Some(cell) => cell(0) += weight(r)
+          case None =>
+            if (map.size < memGroups) map.put(k, Array(weight(r)))
+            else parts.add(SpillPart(k.hashCode, level, SpillPartitions), r)
         }
       }
-      p += 1
-    }
-    result
+
+      val runs = parts.finish()
+      val inMemory = map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }
+      new SpilledResult(inMemory, SpillPartitions, p =>
+        if (runs(p).isEmpty) Iterator.empty
+        else groupCount(Partitions.read(files, runs(p)), arity, memGroups, spill, stats, files.dir, level + 1),
+        files)
+    } catch { case t: Throwable => files.delete(); throw t }
   }
 }
 
@@ -118,13 +160,15 @@ object HashJoin {
   val SpillPartitions: Int = 16
 
   /** Emit each probe row whose key occurs in the build input (both sides are
-    * assumed distinct on the full key, as after duplicate removal).
+    * assumed distinct on the full key, as after duplicate removal). Closing
+    * the result before it is drained deletes the partition files not yet
+    * read, and the temp dir the call made; draining it does the same.
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
                memRows: Int, spill: SpillStats, stats: OvcStats,
-               tmpDir: Path = null, level: Int = 0): Iterator[ERow] = {
+               tmpDir: Path = null, level: Int = 0): CloseableIterator[ERow] = {
     require(memRows > 0)
-    val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-join")
+    val files = new SpillFiles(tmpDir, "hash-join", arity, 1)
 
     val inMem = new mutable.ArrayBuffer[ERow]()
     var overflow = false
@@ -136,40 +180,28 @@ object HashJoin {
     if (!overflow) {
       val set = new mutable.HashSet[LongsKey]()
       inMem.foreach { r => stats.hashColumnAccesses += arity; set += new LongsKey(r.key) }
-      probe.filter { r =>
+      new SpilledResult(probe.filter { r =>
         stats.hashColumnAccesses += arity
         set.contains(new LongsKey(r.key))
-      }
-    } else {
-      def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
-        val batches = Array.fill(SpillPartitions)(new mutable.ArrayBuffer[ERow]())
-        val files = Array.fill(SpillPartitions)(mutable.ArrayBuffer.empty[Path])
-        def flush(p: Int): Unit =
-          if (batches(p).nonEmpty) {
-            files(p) += RunFile.write(dir, arity, 1,
-              batches(p).iterator.map(r =>
-                CodedRow(r.key, 0L, if (r.payload.isEmpty) Array(0L) else Array(r.payload(0)))),
-              spill)
-            batches(p).clear()
+      }, 0, _ => Iterator.empty, files)
+    } else
+      try {
+        def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
+          val parts = new Partitions(SpillPartitions, files, spill, r =>
+            CodedRow(r.key, 0L, if (r.payload.isEmpty) Array(0L) else Array(r.payload(0))))
+          rows.foreach { r =>
+            stats.hashColumnAccesses += arity
+            parts.add(SpillPart(new LongsKey(r.key).hashCode, level, SpillPartitions), r)
           }
-        rows.foreach { r =>
-          stats.hashColumnAccesses += arity
-          val p = SpillPart(new LongsKey(r.key).hashCode, level, SpillPartitions)
-          batches(p) += r
-          if (batches(p).size >= 65536) flush(p)
+          parts.finish()
         }
-        (0 until SpillPartitions).foreach(flush)
-        files.map(_.toVector)
-      }
 
-      val buildParts = partition(inMem.iterator ++ build)
-      val probeParts = partition(probe)
-
-      (0 until SpillPartitions).iterator.flatMap { p =>
-        val b = buildParts(p).iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-        val q = probeParts(p).iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-        semiJoin(b, q, arity, memRows, spill, stats, dir, level + 1)
-      }
-    }
+        val buildRuns = partition(inMem.iterator ++ build)
+        val probeRuns = partition(probe)
+        new SpilledResult(Iterator.empty, SpillPartitions, p =>
+          semiJoin(Partitions.read(files, buildRuns(p)), Partitions.read(files, probeRuns(p)),
+                   arity, memRows, spill, stats, files.dir, level + 1),
+          files)
+      } catch { case t: Throwable => files.delete(); throw t }
   }
 }

@@ -62,6 +62,7 @@ object MergeJoinOp {
     private[this] val cmp = new OvcComparator(joinLen, stats)
     private[this] val out = mutable.Queue.empty[CodedRow]
     private[this] var pending = 0L // max-fold of dropped left rows' codes
+    private[this] val keepsGroup = jt == JoinType.Inner || jt == JoinType.LeftOuter
 
     private[this] var lRow: CodedRow = null
     private[this] var lCap: Long = Ovc.LateFence
@@ -97,6 +98,7 @@ object MergeJoinOp {
         out += CodedRow(l.key, fold(l), joinedPayload(l, nulls, Array.emptyLongArray))
     }
 
+    /** `group` is the right-side match group; null for semi and anti joins. */
     private def leftWithMatches(l: CodedRow, group: mutable.ArrayBuffer[(Array[Long], Array[Long])]): Unit =
       jt match {
         case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
@@ -111,15 +113,20 @@ object MergeJoinOp {
       }
 
     private def processMatch(): Unit = {
-      // Collect the right-side group: successors whose capped code is the
+      // Pass the right-side group: successors whose capped code is the
       // duplicate code share the join key — a single integer test, no columns.
-      val group = mutable.ArrayBuffer((rRow.key.drop(joinLen), rRow.payload))
+      // Only inner and outer joins keep the group; semi and anti joins need
+      // to know only that it exists.
+      val group =
+        if (keepsGroup) mutable.ArrayBuffer((rRow.key.drop(joinLen), rRow.payload)) else null
       advR()
       var more = rRow != null
       while (more) {
         stats.codeComparisons += 1
-        if (Ovc.isDup(rCap)) { group += ((rRow.key.drop(joinLen), rRow.payload)); advR(); more = rRow != null }
-        else more = false
+        if (Ovc.isDup(rCap)) {
+          if (keepsGroup) group += ((rRow.key.drop(joinLen), rRow.payload))
+          advR(); more = rRow != null
+        } else more = false
       }
       // Emit for every left row of the matching group, likewise detected by a
       // duplicate capped code.

@@ -1,8 +1,6 @@
 package repro.sort
 
-import java.nio.file.{Files, Path}
-
-import scala.collection.mutable.ArrayBuffer
+import java.nio.file.Path
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 
@@ -15,6 +13,11 @@ import repro.core.{CodedRow, ERow, Ovc, OvcStats}
   * Run generation allocates nothing per row: one row-buffer [[LoserTree]]
   * holds references to up to `memRows` input rows, is refilled for every
   * chunk, and each run goes from the tree's arrays straight to its file.
+  * Merging allocates nothing per row read back either: each run is read by a
+  * [[RunFile.Cursor]] into arrays it reuses, the merge tree's entries refer to
+  * those arrays, intermediate merge levels write their runs straight from the
+  * tree, and the output stream copies a key and payload into a new row only
+  * for the rows it returns.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
@@ -61,32 +64,25 @@ object ExternalSort {
     }
 
     fill()
-    if (!input.hasNext) return new SortedStream(dedupFilter(tree, dedup), () => ()) // no spill
+    if (!input.hasNext) return new SortedStream(tree, dedup, () => ()) // no spill
 
-    val files = new SortFiles(tmpDir, arity, payloadArity)
+    val files = new SpillFiles(tmpDir, "ovc-sort", arity, payloadArity)
     try {
-      var runs = Vector(writeRun(tree, files, arity, payloadArity, dedup, spill))
+      var runs = Vector(writeRun(tree, files, dedup, spill))
       while (input.hasNext) {
         fill()
-        runs :+= writeRun(tree, files, arity, payloadArity, dedup, spill)
+        runs :+= writeRun(tree, files, dedup, spill)
       }
 
       // Intermediate merge levels only when the run count exceeds the fan-in.
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
-        runs = runs
-          .grouped(fanIn)
-          .map { g =>
-            val merged = dedupFilter(new LoserTree(g.map(files.reader), arity, stats), dedup)
-            val path = RunFile.write(files.dir, arity, payloadArity, merged, spill)
-            files.written += path
-            path
-          }
+        runs = runs.grouped(fanIn)
+          .map(g => writeRun(merge(g, files, arity, stats), files, dedup, spill))
           .toVector
       }
 
-      new SortedStream(dedupFilter(new LoserTree(runs.map(files.reader), arity, stats), dedup),
-                       () => files.delete())
+      new SortedStream(merge(runs, files, arity, stats), dedup, () => files.delete())
     } catch {
       case t: Throwable => files.delete(); throw t
     }
@@ -111,61 +107,45 @@ object ExternalSort {
     }
   }
 
-  /** Writes the tree's sorted rows as one run, dropping duplicates under
-    * dedup; returns the file path.
+  /** Moves `tree` to its next row to emit, past duplicates under dedup: the
+    * sort's one duplicate skip. Returns false when the tree is exhausted.
     */
-  private def writeRun(tree: LoserTree, files: SortFiles, arity: Int, payloadArity: Int,
-                       dedup: Boolean, spill: SpillStats): Path = {
-    val w = new RunFile.Writer(files.dir, arity, payloadArity, spill)
-    files.written += w.path
+  private def more(tree: LoserTree, dedup: Boolean): Boolean = {
+    if (dedup) tree.skipDups()
+    tree.hasNext
+  }
+
+  /** Writes the tree's sorted rows as one run, straight from its arrays;
+    * returns the file path.
+    */
+  private def writeRun(tree: LoserTree, files: SpillFiles, dedup: Boolean, spill: SpillStats): Path = {
+    val w = files.writer(spill)
     try {
-      while (tree.hasNext) {
+      while (more(tree, dedup)) {
         val e = tree.winner
-        val code = tree.code(e)
-        if (!dedup || !Ovc.isDup(code)) w.write(tree.key(e), code, tree.payload(e))
+        w.write(tree.key(e), tree.code(e), tree.payload(e))
         tree.advance()
       }
     } catch { case t: Throwable => w.abort(); throw t }
     w.finish()
   }
 
-  private def dedupFilter(it: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
-    if (dedup) it.filterNot(r => Ovc.isDup(r.code)) else it
+  /** A tree merging `runs`, each read back by a cursor into reused arrays. */
+  private def merge(runs: Seq[Path], files: SpillFiles, arity: Int, stats: OvcStats): LoserTree =
+    LoserTree.merge(runs.map(files.cursor).toIndexedSeq, arity, stats)
 
-  /** The run files of one sort, the readers opened on them, and the temp dir
-    * it made for them, if any.
+  /** The sort's output stream over `tree`, past duplicates under dedup. A row
+    * of a merge tree is copied when it is returned, and only then; `release`
+    * runs once, when the stream is drained or closed.
     */
-  private final class SortFiles(tmpDir: Path, arity: Int, payloadArity: Int) {
-    private[this] val ownDir = tmpDir == null
-    val dir: Path = if (ownDir) RunFile.newTempDir("ovc-sort") else tmpDir
-    val written = ArrayBuffer.empty[Path]
-    private[this] val readers = ArrayBuffer.empty[CloseableIterator[CodedRow]]
-
-    def reader(run: Path): CloseableIterator[CodedRow] = {
-      val r = RunFile.reader(run, arity, payloadArity)
-      readers += r
-      r
-    }
-
-    /** Closes every reader, then deletes the files and the own temp dir. */
-    def delete(): Unit = {
-      try readers.foreach(_.close())
-      finally written.foreach(Files.deleteIfExists)
-      if (ownDir) Files.deleteIfExists(dir)
-    }
-  }
-
-  /** The sort's output stream: `release` runs once, when the stream is
-    * drained or closed.
-    */
-  private final class SortedStream(rows: Iterator[CodedRow], release: () => Unit)
+  private final class SortedStream(tree: LoserTree, dedup: Boolean, release: () => Unit)
       extends CloseableIterator[CodedRow] {
     private[this] var open = true
 
-    override def hasNext: Boolean = open && (rows.hasNext || { close(); false })
+    override def hasNext: Boolean = open && (more(tree, dedup) || { close(); false })
     override def next(): CodedRow = {
-      if (!open) throw new NoSuchElementException("sorted stream closed")
-      rows.next()
+      if (!hasNext) throw new NoSuchElementException("sorted stream exhausted or closed")
+      tree.next()
     }
     override def close(): Unit = if (open) { open = false; release() }
   }

@@ -2,16 +2,42 @@ package repro.sort
 
 import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
 
+/** A sorted, coded row source read one row at a time, as a merge reads its
+  * inputs. After [[advance]] returns true, [[key]], [[code]] and [[payload]]
+  * describe the current row until the next call; a cursor may reuse the
+  * same arrays for every row. Once it returns false it keeps returning false.
+  */
+trait RowCursor {
+  def advance(): Boolean
+  def key: Array[Long]
+  def code: Long
+  def payload: Array[Long]
+}
+
+object RowCursor {
+
+  /** A cursor over `rows`; each row keeps its own arrays. */
+  def apply(rows: Iterator[CodedRow]): RowCursor = new RowCursor {
+    private[this] var row: CodedRow = null
+    override def advance(): Boolean = rows.hasNext && { row = rows.next(); true }
+    override def key: Array[Long] = row.key
+    override def code: Long = row.code
+    override def payload: Array[Long] = row.payload
+  }
+}
+
 /** Tree-of-losers priority queue with offset-value coding (paper §3): the one
   * tournament behind run generation, merging and segmented sorting.
   *
   * The tree plays entry indices; each entry is a key, a code and a payload in
   * three parallel arrays. Entries are filled one of two ways:
   *
-  *  - *Merge* (`new LoserTree(inputs, arity, stats)`): entry `e` holds the
-  *    current row of sorted, coded input `e`, whose codes are relative to its
-  *    predecessor in the same input (the first row relative to "-inf"); when
-  *    the entry wins, the input's next row replaces it.
+  *  - *Merge* ([[LoserTree.merge]], or `new LoserTree(inputs, arity, stats)`
+  *    over iterators): entry `e` holds the current row of sorted, coded
+  *    [[RowCursor]] `e`, whose codes are relative to its predecessor in the
+  *    same input (the first row relative to "-inf"); when the entry wins, the
+  *    cursor's next row replaces it. The entry refers to the cursor's arrays,
+  *    so a cursor that reuses them makes reading a row allocation-free.
   *  - *Row buffer* ([[LoserTree.forRows]]): [[add]] buffers rows and
   *    [[sortRows]] turns each into a single-row run coded relative to a base
   *    offset; when the entry wins, it becomes a late fence. Merging single-row
@@ -27,17 +53,19 @@ import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
   * subsume code comparisons, as in the paper's F1 implementation (§5). The
   * entry count is padded to a power of two with fences. Ties are won by the
   * lower entry index, making the merge stable; the losing duplicate is
-  * re-coded with the duplicate code 0.
+  * re-coded with the duplicate code 0, which [[skipDups]] drops.
   *
   * Cursor use: while [[hasNext]], read [[winner]]'s [[key]], [[code]] and
-  * [[payload]], then [[advance]]. [[next]] wraps the same steps in a
-  * [[CodedRow]].
+  * [[payload]], then [[advance]]; the arrays are valid until then. [[next]]
+  * wraps the same steps in a [[CodedRow]], copying the arrays when the tree's
+  * cursors may reuse them, so a returned row is never overwritten.
   */
-final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, stats: OvcStats)
-    extends Iterator[CodedRow] {
+final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: OvcStats,
+                               copyOut: Boolean) extends Iterator[CodedRow] {
 
+  /** Merges sorted, coded iterators; emitted rows keep the inputs' arrays. */
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
-    this(inputs.toArray, arity, stats)
+    this(inputs.iterator.map(RowCursor(_)).toArray, arity, stats, copyOut = false)
 
   // Entries in use, and that count padded to a power of two.
   private[this] var m = 0
@@ -45,7 +73,7 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
 
   // A row buffer starts small; add() doubles the arrays as rows arrive.
   private[this] var keys     =
-    new Array[Array[Long]](LoserTree.pow2(if (inputs != null) inputs.length else 16))
+    new Array[Array[Long]](LoserTree.pow2(if (sources != null) sources.length else 16))
   private[this] var codes    = new Array[Long](keys.length)
   private[this] var payloads = new Array[Array[Long]](keys.length)
   // node(1..treeSize-1): entry index of the loser at each internal node;
@@ -54,20 +82,20 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
 
   private[this] val cmp = new OvcComparator(arity, stats)
 
-  if (inputs != null) {
-    require(inputs.nonEmpty, "LoserTree needs at least one input")
-    m = inputs.length
+  if (sources != null) {
+    require(sources.nonEmpty, "LoserTree needs at least one input")
+    m = sources.length
     treeSize = keys.length
     var e = 0
     while (e < treeSize) { pull(e); e += 1 }
     build()
   } else codes(0) = Ovc.LateFence // an empty row buffer has nothing to emit
 
-  /** Merge mode: load entry `e` with its input's next row, or a fence. */
+  /** Merge mode: load entry `e` with its cursor's next row, or a fence. */
   private def pull(e: Int): Unit =
-    if (e < m && inputs(e).hasNext) {
-      val r = inputs(e).next()
-      keys(e) = r.key; codes(e) = r.code; payloads(e) = r.payload
+    if (e < m && sources(e).advance()) {
+      val s = sources(e)
+      keys(e) = s.key; codes(e) = s.code; payloads(e) = s.payload
     } else codes(e) = Ovc.LateFence
 
   /** Returns the winning entry of a comparison, updating the loser's code. */
@@ -110,7 +138,7 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
     */
   def advance(): Unit = {
     val w = node(0)
-    if (inputs != null) pull(w) else codes(w) = Ovc.LateFence
+    if (sources != null) pull(w) else codes(w) = Ovc.LateFence
     var cur = w
     var k = (treeSize + w) >> 1
     while (k >= 1) {
@@ -121,9 +149,17 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
     node(0) = cur
   }
 
+  /** Advances past winners that carry the duplicate code, so the winner is
+    * the next distinct row: in-sort dedup. Dropping them leaves the code chain
+    * intact, since 0 is the identity of the max-fold (§4.1).
+    */
+  def skipDups(): Unit = while (Ovc.isDup(codes(node(0)))) advance()
+
   override def next(): CodedRow = {
     val w = node(0)
-    val out = CodedRow(keys(w), codes(w), payloads(w))
+    val out =
+      if (copyOut) CodedRow.copyOf(keys(w), codes(w), payloads(w))
+      else CodedRow(keys(w), codes(w), payloads(w))
     advance()
     out
   }
@@ -135,7 +171,7 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
 
   /** Empties the row buffer; the arrays are kept for the next fill. */
   def clear(): Unit = {
-    require(inputs == null, "clear is for row-buffer trees")
+    require(sources == null, "clear is for row-buffer trees")
     m = 0
     treeSize = 1
     node(0) = 0
@@ -156,7 +192,7 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
     * value `key(base)`.
     */
   def sortRows(base: Int): Unit = {
-    require(inputs == null, "sortRows is for row-buffer trees")
+    require(sources == null, "sortRows is for row-buffer trees")
     require(base >= 0 && base < arity, s"bad base offset $base for arity $arity")
     treeSize = LoserTree.pow2(m) // the arrays' length is a power of two >= m
     var e = 0
@@ -176,8 +212,14 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], arity: Int, st
 
 object LoserTree {
 
+  /** Merges sorted, coded cursors, which may reuse their arrays for every
+    * row; [[LoserTree.next]] copies the rows it returns.
+    */
+  def merge(cursors: IndexedSeq[RowCursor], arity: Int, stats: OvcStats): LoserTree =
+    new LoserTree(cursors.toArray, arity, stats, copyOut = true)
+
   /** An empty row-buffer tree; its arrays grow as rows are added. */
-  def forRows(arity: Int, stats: OvcStats): LoserTree = new LoserTree(null, arity, stats)
+  def forRows(arity: Int, stats: OvcStats): LoserTree = new LoserTree(null, arity, stats, copyOut = false)
 
   /** The least power of two >= n (1 for n <= 1). */
   private def pow2(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }

@@ -3,6 +3,7 @@ package repro.hash
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
+import repro.TestFiles._
 import repro.core._
 import repro.sort.SpillStats
 
@@ -70,5 +71,46 @@ class HashSpec extends AnyFunSuite {
     // level; small recursive overflows may add a little.
     assert(spill.rowsSpilled >= 10000L)
     assert(spill.rowsSpilled <= 2L * 10000L)
+  }
+
+  test("closing a half-drained hash result deletes its unread partition files") {
+    withTmpDir { dir =>
+      def cleanedUp(): Unit = {
+        assert(dir.toFile.list().isEmpty)
+        if (canListOpenFiles) assert(openUnder(dir).isEmpty)
+      }
+      // 1,728 groups, 100 in memory: the rest spill to partitions, some of
+      // which overflow again one level down.
+      val rows = DataGen.randomRows(20000, 3, 12, seed = 4)
+      val agg = HashAgg.groupCount(rows.iterator, 3, 100, new SpillStats, new OvcStats, tmpDir = dir)
+      assert(dir.toFile.list().nonEmpty)
+      (0 until 300).foreach(_ => agg.next()) // into the spilled partitions
+      agg.close()
+      cleanedUp()
+      assert(!agg.hasNext)
+      agg.close() // idempotent
+
+      val l = (0 until 5000).map(i => ERow(Array(i.toLong, i.toLong)))
+      val r = (2500 until 7500).map(i => ERow(Array(i.toLong, i.toLong)))
+      val join = HashJoin.semiJoin(r.iterator, l.iterator, 2, 500, new SpillStats, new OvcStats, tmpDir = dir)
+      assert(dir.toFile.list().nonEmpty)
+      (0 until 1000).foreach(_ => join.next())
+      join.close()
+      cleanedUp()
+      assert(!join.hasNext)
+    }
+  }
+
+  test("a drained hash result leaves no partition files behind") {
+    withTmpDir { dir =>
+      val rows = DataGen.randomRows(20000, 3, 12, seed = 4)
+      val spill = new SpillStats
+      val out = HashAgg.groupCount(rows.iterator, 3, 100, spill, new OvcStats, tmpDir = dir).toVector
+      assert(out.size == Ref.groupCount(rows, 3).size)
+      val joined = HashJoin.semiJoin(out.iterator, out.iterator, 3, 100, spill, new OvcStats, tmpDir = dir).size
+      assert(joined == out.size)
+      assert(spill.rowsSpilled > 0)
+      assert(dir.toFile.list().isEmpty)
+    }
   }
 }

@@ -97,6 +97,21 @@ class MergeJoinSpec extends AnyFunSuite {
     assert(MergeJoinOp(in1.iterator, 2, in2.iterator, 2, 2, JoinType.LeftAnti, stats).isEmpty)
   }
 
+  // Semi and anti joins pass over each right-side match group with one code
+  // comparison per row and keep none of it; the counters are pinned exactly.
+  for ((jt, joinLen, expected) <- Seq(
+         (JoinType.LeftSemi, 2, "OvcStats(code=714, column=4, row=16, hashCol=0)"),
+         (JoinType.LeftSemi, 3, "OvcStats(code=760, column=20, row=73, hashCol=0)"),
+         (JoinType.LeftAnti, 2, "OvcStats(code=714, column=4, row=16, hashCol=0)"),
+         (JoinType.LeftAnti, 3, "OvcStats(code=760, column=20, row=73, hashCol=0)"))) {
+    test(s"$jt joinLen=$joinLen over multi-row right groups: exact comparison counts") {
+      val left = DataGen.randomRows(300, 3, 4, seed = 60, payloadArity = 1)
+      val right = DataGen.randomRows(400, 3, 4, seed = 61, payloadArity = 1)
+      val stats = check(left, right, 3, 3, joinLen, jt, rightPayloadArity = 1)
+      assert(stats.toString == expected)
+    }
+  }
+
   // ---- Lookup join (§4.8) ----
 
   test("lookup join matches merge join and skips lookups for duplicate outer keys") {

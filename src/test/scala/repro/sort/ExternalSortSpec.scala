@@ -1,13 +1,11 @@
 package repro.sort
 
-import java.nio.file.{Files, Path, Paths}
-
-import scala.jdk.CollectionConverters._
-import scala.util.Try
+import java.nio.file.Files
 
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
+import repro.TestFiles._
 import repro.core._
 
 /** External merge sort: spilling, multi-level merges, in-sort dedup. */
@@ -164,15 +162,6 @@ class ExternalSortSpec extends AnyFunSuite {
     }
   }
 
-  private def withTmpDir(body: java.nio.file.Path => Unit): Unit = {
-    val dir = Files.createTempDirectory("ovc-sort-spec")
-    try body(dir)
-    finally {
-      Option(dir.toFile.listFiles).foreach(_.foreach(_.delete()))
-      Files.deleteIfExists(dir)
-    }
-  }
-
   test("closing a half-drained sort deletes its run files from an explicit tmpDir") {
     withTmpDir { dir =>
       val rows = DataGen.randomRows(5000, 3, 50, seed = 8)
@@ -232,14 +221,7 @@ class ExternalSortSpec extends AnyFunSuite {
   }
 
   test("a sort that fails opening its runs for the merge closes the readers it opened") {
-    val fds = Paths.get("/proc/self/fd")
-    assume(Files.isDirectory(fds), "needs /proc/self/fd to list open files")
-    def openUnder(dir: Path): Seq[Path] = {
-      val links = Files.list(fds)
-      try links.iterator.asScala.flatMap(fd => Try(Files.readSymbolicLink(fd)).toOption)
-        .filter(_.startsWith(dir)).toVector
-      finally links.close()
-    }
+    assume(canListOpenFiles, "needs /proc/self/fd to list open files")
     withTmpDir { dir =>
       def runFiles = dir.toFile.list().toSet
       val rows = DataGen.randomRows(700, 2, 40, seed = 11).iterator
@@ -259,5 +241,66 @@ class ExternalSortSpec extends AnyFunSuite {
       assert(openUnder(dir).isEmpty)
       assert(dir.toFile.list().isEmpty)
     }
+  }
+
+  for (dedup <- Seq(false, true); fanIn <- Seq(2, 3)) {
+    test(s"collected spilled sorts own their arrays and match the reference " +
+         s"(dedup=$dedup, fanIn=$fanIn)") {
+      val rows = DataGen.randomRows(1500, 3, 5, seed = 14, payloadArity = 2)
+      val (out, _, spill) = run(rows, 3, memRows = 50, dedup, fanIn, payloadArity = 2)
+      val sorted = Ref.sortCoded(rows) // stable: the first of equal keys survives dedup
+      val expected = if (dedup) sorted.filterNot(r => Ovc.isDup(r.code)) else sorted
+      assert(spill.mergeLevels >= 2)
+      assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      OvcInvariants.verifyChain(out, 3)
+      assert(ownArrays(out), "rows of a spilled sort share a key or payload array")
+    }
+  }
+
+  for (payloadArity <- Seq(0, 2)) {
+    test(s"RunFile.reader returns what was written, each row with its own arrays " +
+         s"(payloadArity=$payloadArity)") {
+      withTmpDir { dir =>
+        val rows = DataGen.refSortCoded(DataGen.randomRows(3000, 3, 6, seed = 15, payloadArity))
+        val spill = new SpillStats
+        val path = RunFile.write(dir, 3, payloadArity, rows.iterator, spill)
+        val back = RunFile.reader(path, 3, payloadArity).toVector
+        assert(back.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+               rows.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+        assert(ownArrays(back))
+        assert(spill.rowsSpilled == 3000)
+        assert(dir.toFile.list().isEmpty, "a drained reader deletes its run")
+      }
+    }
+  }
+
+  test("draining a spilled dedup sort allocates per row emitted, not per row read back") {
+    val bean = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(bean.isThreadAllocatedMemorySupported && bean.isThreadAllocatedMemoryEnabled)
+    // 200,000 rows over 4,096 distinct keys in 25 runs of up to 8,192 rows:
+    // the merge reads back ~87,000 rows and emits 4,096.
+    val rows = DataGen.randomRows(200000, 3, 16, seed = 13)
+    def drain(): (Long, Long, Long) = {
+      val spill = new SpillStats
+      val it = ExternalSort.sort(rows.iterator, 3, 0, 8192, new OvcStats, spill, dedup = true)
+      var emitted, sum = 0L
+      val before = bean.getCurrentThreadAllocatedBytes
+      while (it.hasNext) { sum += it.next().key(2); emitted += 1 }
+      val bytes = bean.getCurrentThreadAllocatedBytes - before
+      assert(sum >= 0)
+      (bytes, emitted, spill.rowsSpilled)
+    }
+    drain() // loads and compiles what the measured drain runs
+    val (bytes, emitted, readBack) = drain()
+    assert(emitted == Ref.distinctSorted(rows).size)
+    assert(readBack >= 20 * emitted, s"the merge reads back only $readBack rows")
+    // A key array and a row per emitted row are 80 B; 128 B per row plus
+    // 256 KiB for closing the runs leaves room, yet per row read back it
+    // allows under 12 B.
+    val bound = 128L * emitted + (256L << 10)
+    assert(bytes <= bound,
+           s"drain allocated $bytes B for $emitted rows emitted, $readBack read back (bound $bound B)")
   }
 }

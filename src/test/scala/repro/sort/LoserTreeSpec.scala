@@ -2,7 +2,8 @@ package repro.sort
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.Ref
+import repro.{Ref, TestFiles}
+import repro.TestFiles.withTmpDir
 import repro.core._
 
 /** Tree-of-losers priority queue with offset-value coding. */
@@ -127,6 +128,49 @@ class LoserTreeSpec extends AnyFunSuite {
       buffer.sortRows(base)
       assert(drain(buffer) == expected, s"fill of $n rows at base $base")
       assert(stats.toString == refStats.toString, s"fill of $n rows at base $base")
+    }
+  }
+
+  for ((k, payloadArity) <- Seq((1, 0), (5, 1), (16, 2))) {
+    test(s"merging $k run cursors matches merging $k run readers exactly " +
+         s"(payloadArity=$payloadArity)") {
+      withTmpDir { dir =>
+        val arity = 3
+        val rows = DataGen.randomRows(2000, arity, 4, seed = 31, payloadArity)
+        val runs = split(Ref.sortCoded(rows), k)
+          .map(run => DataGen.codeSorted(run.map(_.key), run.map(_.payload)))
+        // The same runs, written twice: each merge deletes the runs it drains.
+        val spill, refSpill = new SpillStats
+        val paths = runs.map(r => RunFile.write(dir, arity, payloadArity, r.iterator, spill))
+        val refPaths = runs.map(r => RunFile.write(dir, arity, payloadArity, r.iterator, refSpill))
+
+        val stats, refStats = new OvcStats
+        val out = LoserTree.merge(paths.map(new RunFile.Cursor(_, arity, payloadArity)), arity, stats).toVector
+        val expected = new LoserTree(refPaths.map(RunFile.reader(_, arity, payloadArity)), arity, refStats).toVector
+        assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+               expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+        assert(stats.toString == refStats.toString)
+        assert(spill.toString == refSpill.toString)
+        OvcInvariants.verifyChain(out, arity)
+        assert(TestFiles.ownArrays(out), "rows returned by a cursor merge share arrays")
+        assert(dir.toFile.list().isEmpty, "drained cursors delete their runs")
+      }
+    }
+  }
+
+  test("a cursor merge drained through the cursor API reuses the cursors' arrays") {
+    withTmpDir { dir =>
+      val runs = split(Ref.sortCoded(DataGen.randomRows(500, 2, 5, seed = 32, payloadArity = 1)), 4)
+        .map(run => DataGen.codeSorted(run.map(_.key), run.map(_.payload)))
+      val cursors = runs.map(r => new RunFile.Cursor(RunFile.write(dir, 2, 1, r.iterator, new SpillStats), 2, 1))
+      val tree = LoserTree.merge(cursors, 2, new OvcStats)
+      val expected = Ref.sortCoded(runs.flatten.map(r => ERow(r.key, r.payload)))
+      assert(drain(tree) == expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      // Every entry refers to its cursor's arrays: reading a row allocated none.
+      (0 until cursors.size).foreach { e =>
+        assert(tree.key(e) eq cursors(e).key)
+        assert(tree.payload(e) eq cursors(e).payload)
+      }
     }
   }
 }
