@@ -4,7 +4,7 @@ import java.nio.file.Path
 
 import scala.collection.mutable
 
-import repro.core.{CodedRow, ERow, OvcStats}
+import repro.core.{ERow, OvcStats}
 import repro.sort.{CloseableIterator, SpillFiles, SpillStats}
 
 /** Hashable wrapper for a key array; computing the hash touches every column
@@ -38,12 +38,14 @@ private[hash] object SpillPart {
 
 /** The spill side of one grace-hash level: rows go to `nParts` partitions,
   * buffered in batches and flushed through `files` as runs, so spill
-  * accounting and file I/O are real. `toRun` makes the row a run stores.
+  * accounting and file I/O are real. Rows are unsorted, so each is written
+  * whole (offset 0), with the one payload column `payloadOf(row)`.
   */
 private[hash] final class Partitions(nParts: Int, files: SpillFiles, spill: SpillStats,
-                                     toRun: ERow => CodedRow) {
+                                     payloadOf: ERow => Long) {
   private[this] val batches = Array.fill(nParts)(new mutable.ArrayBuffer[ERow]())
   private[this] val runs = Array.fill(nParts)(mutable.ArrayBuffer.empty[Path])
+  private[this] val payload = new Array[Long](1)
 
   def add(p: Int, r: ERow): Unit = {
     batches(p) += r
@@ -52,7 +54,9 @@ private[hash] final class Partitions(nParts: Int, files: SpillFiles, spill: Spil
 
   private def flush(p: Int): Unit =
     if (batches(p).nonEmpty) {
-      runs(p) += files.write(batches(p).iterator.map(toRun), spill)
+      runs(p) += files.write(spill) { w =>
+        batches(p).foreach { r => payload(0) = payloadOf(r); w.write(r.key, 0, payload) }
+      }
       batches(p).clear()
     }
 
@@ -127,7 +131,7 @@ object HashAgg {
     try {
       val map = new mutable.HashMap[LongsKey, Array[Long]]()
       def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
-      val parts = new Partitions(SpillPartitions, files, spill, r => CodedRow(r.key, 0L, Array(weight(r))))
+      val parts = new Partitions(SpillPartitions, files, spill, weight)
 
       input.foreach { r =>
         stats.hashColumnAccesses += arity // hash function touches every column
@@ -188,7 +192,7 @@ object HashJoin {
       try {
         def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
           val parts = new Partitions(SpillPartitions, files, spill, r =>
-            CodedRow(r.key, 0L, if (r.payload.isEmpty) Array(0L) else Array(r.payload(0))))
+            if (r.payload.isEmpty) 0L else r.payload(0))
           rows.foreach { r =>
             stats.hashColumnAccesses += arity
             parts.add(SpillPart(new LongsKey(r.key).hashCode, level, SpillPartitions), r)

@@ -16,6 +16,46 @@ object JoinType {
   case object LeftOuter extends JoinType
 }
 
+/** The output side of [[MergeJoinOp]] and [[LookupJoinOp]], with no column
+  * comparisons: left rows the join drops fold their codes into the next
+  * output row (max rule, §4.1); extra outputs of one left row carry the
+  * duplicate code. An unmatched outer row's payload ends in `nullExt`.
+  */
+private[ops] final class JoinEmitter(jt: JoinType, nullExt: Array[Long]) {
+  val out = mutable.Queue.empty[CodedRow]
+  private[this] var pending = 0L // max-fold of dropped left rows' codes
+
+  /** Code of the next emitted left row: own code folded with dropped rows'. */
+  private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
+
+  private def joined(l: CodedRow, suffix: Array[Long], pay: Array[Long]): Array[Long] = {
+    val p = new Array[Long](l.payload.length + suffix.length + pay.length)
+    System.arraycopy(l.payload, 0, p, 0, l.payload.length)
+    System.arraycopy(suffix, 0, p, l.payload.length, suffix.length)
+    System.arraycopy(pay, 0, p, l.payload.length + suffix.length, pay.length)
+    p
+  }
+
+  def unmatched(l: CodedRow): Unit = jt match {
+    case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
+    case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
+    case JoinType.LeftOuter => out += CodedRow(l.key, fold(l), joined(l, nullExt, Array.emptyLongArray))
+  }
+
+  /** `group`: the matches' key suffixes and payloads (semi/anti joins ignore it). */
+  def matched(l: CodedRow, group: Iterable[(Array[Long], Array[Long])]): Unit = jt match {
+    case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
+    case JoinType.LeftAnti => pending = math.max(pending, l.code)
+    case JoinType.Inner | JoinType.LeftOuter =>
+      var first = true
+      group.foreach { case (suffix, pay) =>
+        val code = if (first) fold(l) else 0L // duplicate left key in the output
+        first = false
+        out += CodedRow(l.key, code, joined(l, suffix, pay))
+      }
+  }
+}
+
 /** Sort-based merge join with offset-value codes on both inputs (paper §4.7).
   *
   * Join predicate: equality on the first `joinLen` key columns of each side.
@@ -30,11 +70,8 @@ object JoinType {
   * column access at all — this is how codes carried from in-sort aggregation
   * "speed up row comparisons in the merge join" (§6).
   *
-  * '''Output coding.''' The output is ordered and keyed on the left key.
-  * Left rows dropped by the join fold their codes into the next output row
-  * (max rule, §4.1); extra outputs of one left row (multiple right matches)
-  * carry the duplicate code. No additional column comparisons are performed
-  * for output codes.
+  * '''Output coding.''' The output is ordered and keyed on the left key,
+  * coded by [[JoinEmitter]] with no additional column comparisons.
   *
   * For [[JoinType.Inner]]/[[JoinType.LeftOuter]] the output payload is
   * `left.payload ++ right.key.drop(joinLen) ++ right.payload`; outer-join
@@ -60,8 +97,9 @@ object MergeJoinOp {
       rightPayloadArity: Int, nullSentinel: Long) extends Iterator[CodedRow] {
 
     private[this] val cmp = new OvcComparator(joinLen, stats)
-    private[this] val out = mutable.Queue.empty[CodedRow]
-    private[this] var pending = 0L // max-fold of dropped left rows' codes
+    private[this] val emit =
+      new JoinEmitter(jt, Array.fill((rightArity - joinLen) + rightPayloadArity)(nullSentinel))
+    private[this] val out = emit.out
     private[this] val keepsGroup = jt == JoinType.Inner || jt == JoinType.LeftOuter
 
     private[this] var lRow: CodedRow = null
@@ -78,39 +116,6 @@ object MergeJoinOp {
     private def advR(): Unit =
       if (right.hasNext) { rRow = right.next(); rCap = ProjectOp.capCode(rRow.code, rightArity, joinLen) }
       else { rRow = null; rCap = Ovc.LateFence }
-
-    /** Code of the next emitted left row: own code folded with dropped rows'. */
-    private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
-
-    private def joinedPayload(l: CodedRow, rSuffix: Array[Long], rPay: Array[Long]): Array[Long] = {
-      val p = new Array[Long](l.payload.length + rSuffix.length + rPay.length)
-      System.arraycopy(l.payload, 0, p, 0, l.payload.length)
-      System.arraycopy(rSuffix, 0, p, l.payload.length, rSuffix.length)
-      System.arraycopy(rPay, 0, p, l.payload.length + rSuffix.length, rPay.length)
-      p
-    }
-
-    private def leftWithoutMatch(l: CodedRow): Unit = jt match {
-      case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
-      case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
-      case JoinType.LeftOuter =>
-        val nulls = Array.fill((rightArity - joinLen) + rightPayloadArity)(nullSentinel)
-        out += CodedRow(l.key, fold(l), joinedPayload(l, nulls, Array.emptyLongArray))
-    }
-
-    /** `group` is the right-side match group; null for semi and anti joins. */
-    private def leftWithMatches(l: CodedRow, group: mutable.ArrayBuffer[(Array[Long], Array[Long])]): Unit =
-      jt match {
-        case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
-        case JoinType.LeftAnti => pending = math.max(pending, l.code)
-        case JoinType.Inner | JoinType.LeftOuter =>
-          var first = true
-          group.foreach { case (suffix, pay) =>
-            val code = if (first) fold(l) else 0L // duplicate left key in the output
-            first = false
-            out += CodedRow(l.key, code, joinedPayload(l, suffix, pay))
-          }
-      }
 
     private def processMatch(): Unit = {
       // Pass the right-side group: successors whose capped code is the
@@ -130,22 +135,22 @@ object MergeJoinOp {
       }
       // Emit for every left row of the matching group, likewise detected by a
       // duplicate capped code.
-      leftWithMatches(lRow, group)
+      emit.matched(lRow, group)
       advL()
       more = lRow != null
       while (more) {
         stats.codeComparisons += 1
-        if (Ovc.isDup(lCap)) { leftWithMatches(lRow, group); advL(); more = lRow != null }
+        if (Ovc.isDup(lCap)) { emit.matched(lRow, group); advL(); more = lRow != null }
         else more = false
       }
     }
 
     private def fill(): Unit =
       while (out.isEmpty && lRow != null) {
-        if (rRow == null) { leftWithoutMatch(lRow); advL() }
+        if (rRow == null) { emit.unmatched(lRow); advL() }
         else {
           val c = cmp.compare(lRow.key, lCap, rRow.key, rCap)
-          if (c < 0) { rCap = cmp.loserCode; leftWithoutMatch(lRow); advL() }
+          if (c < 0) { rCap = cmp.loserCode; emit.unmatched(lRow); advL() }
           else if (c > 0) { lCap = cmp.loserCode; advR() }
           else processMatch()
         }
@@ -174,30 +179,9 @@ object LookupJoinOp {
             nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= outerArity)
     new Iterator[CodedRow] {
-      private[this] val out = mutable.Queue.empty[CodedRow]
-      private[this] var pending = 0L
+      private[this] val emit = new JoinEmitter(jt, Array.fill(nullSentinelArity)(nullSentinel))
+      private[this] val out = emit.out
       private[this] var cached: IndexedSeq[(Array[Long], Array[Long])] = null
-
-      private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
-
-      private def emit(l: CodedRow, group: IndexedSeq[(Array[Long], Array[Long])]): Unit =
-        if (group.isEmpty) jt match {
-          case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
-          case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
-          case JoinType.LeftOuter =>
-            out += CodedRow(l.key, fold(l),
-                            l.payload ++ Array.fill(nullSentinelArity)(nullSentinel))
-        } else jt match {
-          case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
-          case JoinType.LeftAnti => pending = math.max(pending, l.code)
-          case JoinType.Inner | JoinType.LeftOuter =>
-            var first = true
-            group.foreach { case (suffix, pay) =>
-              val code = if (first) fold(l) else 0L
-              first = false
-              out += CodedRow(l.key, code, l.payload ++ suffix ++ pay)
-            }
-        }
 
       private def fill(): Unit =
         while (out.isEmpty && outer.hasNext) {
@@ -208,7 +192,7 @@ object LookupJoinOp {
             lookupStats.calls += 1
             cached = lookup(l.key.take(joinLen))
           }
-          emit(l, cached)
+          if (cached.isEmpty) emit.unmatched(l) else emit.matched(l, cached)
         }
 
       override def hasNext: Boolean = { fill(); out.nonEmpty }

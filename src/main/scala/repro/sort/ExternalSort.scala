@@ -68,17 +68,17 @@ object ExternalSort {
 
     val files = new SpillFiles(tmpDir, "ovc-sort", arity, payloadArity)
     try {
-      var runs = Vector(writeRun(tree, files, dedup, spill))
+      var runs = Vector(writeRun(tree, arity, files, dedup, spill))
       while (input.hasNext) {
         fill()
-        runs :+= writeRun(tree, files, dedup, spill)
+        runs :+= writeRun(tree, arity, files, dedup, spill)
       }
 
       // Intermediate merge levels only when the run count exceeds the fan-in.
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
         runs = runs.grouped(fanIn)
-          .map(g => writeRun(merge(g, files, arity, stats), files, dedup, spill))
+          .map(g => writeRun(merge(g, files, arity, stats), arity, files, dedup, spill))
           .toVector
       }
 
@@ -115,20 +115,18 @@ object ExternalSort {
     tree.hasNext
   }
 
-  /** Writes the tree's sorted rows as one run, straight from its arrays;
-    * returns the file path.
+  /** Writes the tree's sorted rows as one run, straight from its arrays, each
+    * prefix-truncated at its code's offset; returns the file path.
     */
-  private def writeRun(tree: LoserTree, files: SpillFiles, dedup: Boolean, spill: SpillStats): Path = {
-    val w = files.writer(spill)
-    try {
+  private def writeRun(tree: LoserTree, arity: Int, files: SpillFiles, dedup: Boolean,
+                       spill: SpillStats): Path =
+    files.write(spill) { w =>
       while (more(tree, dedup)) {
         val e = tree.winner
-        w.write(tree.key(e), tree.code(e), tree.payload(e))
+        w.write(tree.key(e), Ovc.offsetOf(tree.code(e), arity), tree.payload(e))
         tree.advance()
       }
-    } catch { case t: Throwable => w.abort(); throw t }
-    w.finish()
-  }
+    }
 
   /** A tree merging `runs`, each read back by a cursor into reused arrays. */
   private def merge(runs: Seq[Path], files: SpillFiles, arity: Int, stats: OvcStats): LoserTree =

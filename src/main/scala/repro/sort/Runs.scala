@@ -1,11 +1,11 @@
 package repro.sort
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, EOFException, FileInputStream, FileOutputStream}
 import java.nio.file.{Files, Path}
 
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.CodedRow
+import repro.core.{CodedRow, Ovc}
 
 /** Spill accounting for external algorithms: the unit the paper's Figure 3
   * argues about is "rows spilled to temporary storage".
@@ -27,11 +27,22 @@ final class SpillStats {
     s"SpillStats(rows=$rowsSpilled, runs=$runsWritten, bytes=$bytesSpilled, levels=$mergeLevels)"
 }
 
-/** Sorted runs spilled to real local files (fixed-arity key, fixed-arity
-  * payload, packed OVC per row). Each row is prefixed with a marker byte so
-  * readers detect end-of-run without a length header.
+/** The one row format of spill runs, hash partitions and OvcStore files
+  * (paper §4.10-4.11): a header (magic "OVC", version, arity, payload arity,
+  * column names), then per row an offset byte, `key[offset..arity)` and the
+  * payload, then the reserved offset [[EndOfRun]]. The offset is the prefix
+  * the row shares with the previous one (0 for the first), so a reader
+  * rebuilds each code from it and the first stored value, comparing nothing.
+  * Spill runs ([[spillRun]], [[Cursor]], [[reader]]) are deleted once read
+  * back or at JVM exit; a [[Reader]] leaves its file in place.
   */
 object RunFile {
+
+  /** The largest arity a row's offset byte can hold besides [[EndOfRun]]. */
+  val MaxArity: Int = 254
+  private val EndOfRun = 255
+  private val Magic = 0x4f5643 // "OVC"
+  private val Version = '2'    // "OVC1" was OvcStore's format before this one
 
   def newTempDir(prefix: String): Path = {
     val d = Files.createTempDirectory(prefix)
@@ -39,86 +50,140 @@ object RunFile {
     d
   }
 
-  /** Writes one run to a new file under `dir`, row by row, straight from the
-    * caller's key, code and payload: no row object per row. Call `finish`
-    * after the last row.
+  def requireArity(arity: Int): Unit =
+    require(arity >= 0 && arity <= MaxArity, s"arity $arity lies outside [0, $MaxArity]: a row's offset byte cannot hold it")
+
+  /** Writes rows to a new file at `path` straight from the caller's arrays,
+    * each with its offset; the first row's must be 0. Call `finish` after the
+    * last row.
     */
-  final class Writer(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats) {
-    val path: Path = Files.createTempFile(dir, "run", ".bin")
-    path.toFile.deleteOnExit()
+  final class Writer(val path: Path, arity: Int, payloadArity: Int, names: Seq[String] = Nil) {
+    requireArity(arity)
+    require(names.isEmpty || names.length == arity, s"${names.length} column names for arity $arity")
     private[this] val out =
       new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile), 1 << 16))
     private[this] var n = 0L
+    Seq(Magic << 8 | Version, arity, payloadArity, names.length).foreach(out.writeInt)
+    names.foreach(out.writeUTF)
 
-    def write(key: Array[Long], code: Long, payload: Array[Long]): Unit = {
-      out.writeByte(1)
-      var i = 0
+    def rows: Long = n
+
+    def write(key: Array[Long], offset: Int, payload: Array[Long]): Unit = {
+      if (offset < 0 || offset > arity || (n == 0 && offset != 0))
+        throw new IllegalArgumentException(s"row $n of $path: offset $offset outside [0, $arity] or first row's not 0")
+      out.writeByte(offset)
+      var i = offset
       while (i < arity) { out.writeLong(key(i)); i += 1 }
-      out.writeLong(code)
       i = 0
       while (i < payloadArity) { out.writeLong(payload(i)); i += 1 }
       n += 1
     }
 
-    /** Ends the run and books it in `spill`; returns the file path. */
-    def finish(): Path = {
-      try out.writeByte(0) finally out.close()
-      spill.rowsSpilled += n
-      spill.runsWritten += 1
-      spill.bytesSpilled += Files.size(path)
-      path
-    }
+    def finish(): Unit = try out.writeByte(EndOfRun) finally out.close()
 
-    /** Gives up the run: closes and deletes the file, books nothing. */
-    def abort(): Unit = {
-      try out.close() finally Files.deleteIfExists(path)
-    }
+    /** Gives up the file: closes and deletes it. */
+    def abort(): Unit = try out.close() finally Files.deleteIfExists(path)
   }
 
-  /** Write `rows` as one run; returns the file path. Updates `spill`. */
-  def write(dir: Path, arity: Int, payloadArity: Int,
-            rows: Iterator[CodedRow], spill: SpillStats): Path = {
-    val w = new Writer(dir, arity, payloadArity, spill)
-    try {
-      while (rows.hasNext) { val r = rows.next(); w.write(r.key, r.code, r.payload) }
-    } catch { case t: Throwable => w.abort(); throw t }
-    w.finish()
-  }
-
-  /** Reads a run back one row at a time into a key and a payload array it
-    * owns and reuses, so reading a row allocates nothing: the one row decoder
-    * behind [[reader]] and the sort's merges. The file is deleted once the
-    * cursor is exhausted or closed; `close` is idempotent.
+  /** Writes one spill run under `dir` through `body` and books it in `spill`;
+    * returns its path. A run that fails part way is deleted.
     */
-  final class Cursor(path: Path, arity: Int, payloadArity: Int) extends RowCursor with AutoCloseable {
-    private[this] val in =
-      new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile), 1 << 16))
+  def spillRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)(body: Writer => Unit): Path = {
+    requireArity(arity) // before the file exists
+    val path = Files.createTempFile(dir, "run", ".bin")
+    path.toFile.deleteOnExit()
+    val w = new Writer(path, arity, payloadArity)
+    try { body(w); w.finish() } catch { case t: Throwable => w.abort(); throw t }
+    spill.rowsSpilled += w.rows
+    spill.runsWritten += 1
+    spill.bytesSpilled += Files.size(path)
+    path
+  }
+
+  /** Write `rows` as one spill run; returns the file path. Updates `spill`.
+    * A row is stored at its code's offset, cut to the prefix its key shares
+    * with the previous row: a code not relative to that row, such as a dummy
+    * 0, costs bytes but never loses a column.
+    */
+  def write(dir: Path, arity: Int, payloadArity: Int,
+            rows: Iterator[CodedRow], spill: SpillStats): Path =
+    spillRun(dir, arity, payloadArity, spill) { w =>
+      val prev = new Array[Long](arity)
+      while (rows.hasNext) {
+        val r = rows.next()
+        val limit = if (w.rows == 0) 0 else Ovc.offsetOf(r.code, arity)
+        var off = 0
+        while (off < limit && r.key(off) == prev(off)) off += 1
+        w.write(r.key, off, r.payload)
+        System.arraycopy(r.key, 0, prev, 0, arity)
+      }
+    }
+
+  final case class Header(arity: Int, payloadArity: Int, names: Seq[String])
+
+  /** The header of the file at `path`; fails, naming the file, unless it is
+    * of this format and version.
+    */
+  def header(path: Path): Header = {
+    val in = open(path)
+    try readHeader(path, in) finally in.close()
+  }
+
+  private def open(path: Path) =
+    new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile), 1 << 16))
+
+  private def readHeader(path: Path, in: DataInputStream): Header =
+    try {
+      val m = in.readInt()
+      require((m >>> 8) == Magic, s"$path is not a row file")
+      require((m & 0xff) == Version, s"$path has row format version ${(m & 0xff).toChar}, not $Version")
+      Header(in.readInt(), in.readInt(), Vector.fill(in.readInt())(in.readUTF()))
+    } catch { case _: EOFException => throw new IllegalArgumentException(s"$path is not a row file") }
+
+  /** Reads a file back one row at a time into a key and a payload array it
+    * owns and reuses: no allocation and no column comparison per row. Fails,
+    * naming the file, unless its header gives this arity and payload arity.
+    * Closes itself once exhausted; `close` is idempotent.
+    */
+  class Reader(val path: Path, arity: Int, payloadArity: Int) extends RowCursor with AutoCloseable {
+    private[this] val in = open(path)
+    try {
+      val h = readHeader(path, in)
+      require(h.arity == arity && h.payloadArity == payloadArity,
+              s"$path holds arity ${h.arity}, payload arity ${h.payloadArity}, not $arity and $payloadArity")
+    } catch { case t: Throwable => in.close(); throw t }
+
     override val key: Array[Long] = new Array[Long](arity)
     override val payload: Array[Long] =
       if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
     private[this] var c = 0L
-    private[this] var open = true
+    private[this] var isOpen = true
 
     override def code: Long = c
 
     override def advance(): Boolean =
-      open && {
-        if (in.readByte() == 0) { close(); false }
+      isOpen && {
+        val off = in.readUnsignedByte()
+        if (off == EndOfRun) { close(); false }
         else {
-          var i = 0
+          if (off > arity) throw new IllegalStateException(s"$path: row offset $off exceeds arity $arity")
+          var i = off
           while (i < arity) { key(i) = in.readLong(); i += 1 }
-          c = in.readLong()
+          c = if (off == arity) 0L else Ovc.pack(arity, off, key(off))
           i = 0
           while (i < payloadArity) { payload(i) = in.readLong(); i += 1 }
           true
         }
       }
 
-    override def close(): Unit =
-      if (open) {
-        open = false
-        try in.close() finally Files.deleteIfExists(path)
-      }
+    override def close(): Unit = if (isOpen) { isOpen = false; in.close() }
+  }
+
+  /** A [[Reader]] that deletes its spill run once exhausted or closed: the
+    * decoder behind [[reader]] and the sort's merges.
+    */
+  final class Cursor(run: Path, arity: Int, payloadArity: Int) extends Reader(run, arity, payloadArity) {
+    override def close(): Unit = try super.close() finally Files.deleteIfExists(path)
   }
 
   /** Streams a run back as rows with their own arrays; the file is deleted
@@ -157,16 +222,9 @@ final class SpillFiles(tmpDir: Path, prefix: String, arity: Int, payloadArity: I
     }
   }
 
-  /** A writer for a new run, deleted with the others. */
-  def writer(spill: SpillStats): RunFile.Writer = {
-    val w = new RunFile.Writer(dir, arity, payloadArity, spill)
-    written += w.path
-    w
-  }
-
-  /** Writes `rows` as one run; returns its path. */
-  def write(rows: Iterator[CodedRow], spill: SpillStats): Path = {
-    val path = RunFile.write(dir, arity, payloadArity, rows, spill)
+  /** Writes one run through `body` ([[RunFile.spillRun]]); returns its path. */
+  def write(spill: SpillStats)(body: RunFile.Writer => Unit): Path = {
+    val path = RunFile.spillRun(dir, arity, payloadArity, spill)(body)
     written += path
     path
   }

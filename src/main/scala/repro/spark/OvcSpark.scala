@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.{RangePartitioner, TaskContext}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
@@ -41,65 +42,71 @@ final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   */
 object OvcSpark {
 
-  /** Extract an integral column as Long (keys must be integral and fit the
-    * 48-bit OVC value domain).
+  /** An integral key column's value as Long; fails naming the column on a
+    * null or a value outside the 48-bit OVC value domain.
     */
-  private def toLong(v: Any): Long = v match {
-    case l: Long  => l
-    case i: Int   => i.toLong
-    case s: Short => s.toLong
-    case b: Byte  => b.toLong
-    case null     => throw new IllegalArgumentException("null key column")
-    case other    => throw new IllegalArgumentException(s"non-integral key column: $other")
+  private def toLong(v: Any, col: String): Long = {
+    val l = v match {
+      case l: Long  => l
+      case i: Int   => i.toLong
+      case s: Short => s.toLong
+      case b: Byte  => b.toLong
+      case null     => throw new IllegalArgumentException(s"null in key column $col")
+      case other    => throw new IllegalArgumentException(s"non-integral value $other in key column $col")
+    }
+    require((l >>> Ovc.ValueBits) == 0L, s"value $l in key column $col lies outside [0, 2^${Ovc.ValueBits})")
+    l
+  }
+
+  private def keyOf(r: Row, keyIdx: Array[Int], names: Array[String]): Array[Long] =
+    Array.tabulate(keyIdx.length)(j => toLong(r.get(keyIdx(j)), names(j)))
+
+  /** The one key path of [[sortedWithOvc]], [[groupCount]] and
+    * [[OvcStore.write]]: range-repartitions `df` on `keyCols`, sorts each
+    * partition and returns its rows in order, each with its key as Long and
+    * its OVC relative to its partition predecessor (§4.10).
+    */
+  private[spark] def sortedCoded(df: DataFrame, keyCols: Seq[String]): RDD[(Row, Array[Long], Long)] = {
+    val keyIdx = keyCols.map(df.schema.fieldIndex).toArray
+    val names = keyCols.toArray
+    df.repartitionByRange(keyCols.map(col): _*).sortWithinPartitions(keyCols.map(col): _*)
+      .rdd.mapPartitions { it =>
+        val junk = new OvcStats
+        var prev: Array[Long] = null
+        it.map { r =>
+          val key = keyOf(r, keyIdx, names)
+          val code = if (prev == null) Ovc.initial(key) else Ovc.encode(prev, key, junk)
+          prev = key
+          (r, key, code)
+        }
+      }
   }
 
   /** Range-repartition on `keyCols`, sort each partition, and attach the
     * packed ascending OVC of each row relative to its partition predecessor
     * as a new `ovc` column — an ordered scan originating codes (§4.10).
     */
-  def sortedWithOvc(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val spark = df.sparkSession
-    val sorted = df
-      .repartitionByRange(keyCols.map(col): _*)
-      .sortWithinPartitions(keyCols.map(col): _*)
-    val keyIdx = keyCols.map(sorted.schema.fieldIndex).toArray
-    val schema = StructType(sorted.schema.fields :+ StructField("ovc", LongType, nullable = false))
-    val rdd = sorted.rdd.mapPartitions { it =>
-      val junk = new OvcStats
-      var prev: Array[Long] = null
-      it.map { r =>
-        val key = keyIdx.map(i => toLong(r.get(i)))
-        val code = if (prev == null) Ovc.initial(key) else Ovc.encode(prev, key, junk)
-        prev = key
-        Row.fromSeq(r.toSeq :+ code)
-      }
-    }
-    spark.createDataFrame(rdd, schema)
-  }
+  def sortedWithOvc(df: DataFrame, keyCols: Seq[String]): DataFrame =
+    df.sparkSession.createDataFrame(
+      sortedCoded(df, keyCols).map { case (r, _, code) => Row.fromSeq(r.toSeq :+ code) },
+      StructType(df.schema.fields :+ StructField("ovc", LongType, nullable = false)))
 
   /** In-stream group count driven by the OVC column: one integer boundary
     * test per row inside each executor (§4.5, Figure 1). Output columns:
     * the key columns (as Long) plus `cnt`.
     */
   def groupCount(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val spark = df.sparkSession
     val arity = keyCols.length
-    val withCodes = sortedWithOvc(df, keyCols)
-    val keyIdx = keyCols.map(withCodes.schema.fieldIndex).toArray
-    val ovcIdx = withCodes.schema.fieldIndex("ovc")
     val schema = StructType(
       keyCols.map(c => StructField(c, LongType, nullable = false)) :+
       StructField("cnt", LongType, nullable = false))
-    val rdd = withCodes.rdd.mapPartitions { it =>
-      val stats = new OvcStats
-      val coded = it.map { r =>
-        CodedRow(keyIdx.map(i => toLong(r.get(i))), r.getLong(ovcIdx), ERow.NoPayload)
-      }
-      GroupAggOp.countByOvc(coded, arity, arity, stats).map { g =>
+    val rdd = sortedCoded(df, keyCols).mapPartitions { it =>
+      val coded = it.map { case (_, key, code) => CodedRow(key, code, ERow.NoPayload) }
+      GroupAggOp.countByOvc(coded, arity, arity, new OvcStats).map { g =>
         Row.fromSeq(g.key.toSeq :+ g.payload(0))
       }
     }
-    spark.createDataFrame(rdd, schema)
+    df.sparkSession.createDataFrame(rdd, schema)
   }
 
   /** `select keyCols from df1 intersect select keyCols from df2` executed the
@@ -116,7 +123,8 @@ object OvcSpark {
 
     def keyed(df: DataFrame) = {
       val idx = keyCols.map(df.schema.fieldIndex).toArray
-      df.rdd.map(r => (KeyVec(idx.map(i => toLong(r.get(i)))), ()))
+      val names = keyCols.toArray
+      df.rdd.map(r => (KeyVec(keyOf(r, idx, names)), ()))
     }
 
     val kv1 = keyed(df1)

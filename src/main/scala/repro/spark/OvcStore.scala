@@ -1,6 +1,7 @@
 package repro.spark
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File, FileInputStream, FileOutputStream}
+import java.io.File
+import java.nio.file.Paths
 import java.util
 
 import org.apache.spark.sql.DataFrame
@@ -13,23 +14,19 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.Ovc
+import repro.core.{ERow, Ovc}
+import repro.sort.RunFile
 
-/** A sorted columnar store with prefix truncation (paper §4.10/§4.11): each
-  * record is encoded relative to its immediate predecessor as
-  * `(offset, values[offset..arity))`. Scans reconstruct rows and emit the
-  * packed offset-value code directly from the stored offset and first suffix
-  * value — "offset-value codes practically for free", with no column-value
-  * comparisons at scan time.
-  *
-  * Write side: [[OvcStore.write]] range-partitions and sorts the input inside
-  * executors and encodes one file per partition. Read side: a DataSourceV2
-  * `TableProvider` (`spark.read.format("repro.spark.OvcStoreProvider")`)
-  * that scans each file as one input partition, appending the `ovc` column.
+/** A sorted columnar store with prefix truncation (paper §4.10/§4.11): one
+  * file per range partition in the engine's row format ([[RunFile]]), each
+  * record stored as `(offset, values[offset..arity))`. A scan emits the
+  * packed offset-value code straight from the stored offset and first suffix
+  * value, with no column comparisons. [[OvcStore.write]] sorts and codes
+  * inside executors through [[OvcSpark.sortedCoded]]; the read side is a
+  * DataSourceV2 `TableProvider` (`spark.read.format("repro.spark.OvcStoreProvider")`)
+  * with one input partition per file. Nothing deletes store files.
   */
 object OvcStore {
-
-  val Magic: Int = 0x4f564331 // "OVC1"
 
   /** Write `df` (projected to `keyCols`, which must be integral) as a sorted,
     * prefix-truncated store under `dir`, one file per range partition.
@@ -37,63 +34,32 @@ object OvcStore {
     */
   def write(df: DataFrame, keyCols: Seq[String], dir: String): Array[Long] = {
     val arity = keyCols.length
+    RunFile.requireArity(arity)
     val d = new File(dir)
     require(d.isDirectory || d.mkdirs(), s"cannot create $dir")
-    val sorted = df
-      .repartitionByRange(keyCols.map(col): _*)
-      .sortWithinPartitions(keyCols.map(col): _*)
-    val idx = keyCols.map(sorted.schema.fieldIndex).toArray
-    val names = keyCols.toArray
-    sorted.rdd.mapPartitionsWithIndex { (pid, it) =>
-      val f = new File(d, f"part-$pid%05d.ovc")
-      val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
-      var n = 0L
+    OvcSpark.sortedCoded(df.select(keyCols.map(col): _*), keyCols).mapPartitionsWithIndex { (pid, rows) =>
+      val w = new RunFile.Writer(new File(d, f"part-$pid%05d.ovc").toPath, arity, 0, keyCols)
       try {
-        out.writeInt(Magic)
-        out.writeInt(arity)
-        names.foreach(out.writeUTF)
-        val prev = new Array[Long](arity)
-        it.foreach { r =>
-          val key = idx.map(i => r.get(i) match {
-            case l: Long => l
-            case i2: Int => i2.toLong
-            case other   => throw new IllegalArgumentException(s"non-integral key: $other")
-          })
-          // Prefix truncation: offset = shared prefix with the predecessor.
-          var off = 0
-          if (n > 0) { while (off < arity && prev(off) == key(off)) off += 1 }
-          out.writeByte(1)
-          out.writeByte(off)
-          var j = off
-          while (j < arity) { out.writeLong(key(j)); j += 1 }
-          System.arraycopy(key, 0, prev, 0, arity)
-          n += 1
-        }
-        out.writeByte(0)
-      } finally out.close()
-      Iterator.single(n)
+        rows.foreach { case (_, key, code) => w.write(key, Ovc.offsetOf(code, arity), ERow.NoPayload) }
+        w.finish()
+      } catch { case t: Throwable => w.abort(); throw t }
+      Iterator.single(w.rows)
     }.collect()
   }
 
   def schemaOf(dir: String): StructType = {
-    val f = firstFile(dir)
-    val in = new DataInputStream(new BufferedInputStream(new FileInputStream(f)))
-    try {
-      require(in.readInt() == Magic, s"$f is not an OvcStore file")
-      val arity = in.readInt()
-      val names = (0 until arity).map(_ => in.readUTF())
-      StructType(names.map(n => StructField(n, LongType, nullable = false)) :+
-                 StructField("ovc", LongType, nullable = false))
-    } finally in.close()
+    val f = files(dir).head.toPath
+    val h = RunFile.header(f)
+    require(h.payloadArity == 0 && h.names.length == h.arity, s"$f is not an OvcStore file")
+    StructType(h.names.map(n => StructField(n, LongType, nullable = false)) :+
+               StructField("ovc", LongType, nullable = false))
   }
 
   def files(dir: String): Array[File] = {
-    val fs = new File(dir).listFiles()
-    require(fs != null && fs.nonEmpty, s"no OvcStore files under $dir")
-    fs.filter(_.getName.endsWith(".ovc")).sortBy(_.getName)
+    val fs = Option(new File(dir).listFiles()).getOrElse(Array.empty[File]).filter(_.getName.endsWith(".ovc"))
+    require(fs.nonEmpty, s"no OvcStore files (*.ovc) under $dir")
+    fs.sortBy(_.getName)
   }
-
-  private def firstFile(dir: String): File = files(dir).head
 }
 
 /** DataSourceV2 entry point: `spark.read.format(classOf[OvcStoreProvider].getName)
@@ -106,8 +72,6 @@ class OvcStoreProvider extends TableProvider {
   override def getTable(schema: StructType, partitioning: Array[Transform],
                         properties: util.Map[String, String]): Table =
     new OvcStoreTable(properties.get("path"), schema)
-
-  override def supportsExternalMetadata(): Boolean = false
 }
 
 final class OvcStoreTable(path: String, schema: StructType) extends Table with SupportsRead {
@@ -122,7 +86,7 @@ final class OvcStoreTable(path: String, schema: StructType) extends Table with S
     }
 }
 
-final case class OvcFilePartition(file: String) extends InputPartition
+final case class OvcFilePartition(file: String, arity: Int) extends InputPartition
 
 final class OvcStoreScan(path: String, val readSchema0: StructType) extends Scan with Batch {
   override def readSchema(): StructType = readSchema0
@@ -130,50 +94,28 @@ final class OvcStoreScan(path: String, val readSchema0: StructType) extends Scan
   override def description(): String = s"OvcStoreScan($path)"
 
   override def planInputPartitions(): Array[InputPartition] =
-    OvcStore.files(path).map(f => OvcFilePartition(f.getAbsolutePath): InputPartition)
+    OvcStore.files(path).map(f =>
+      OvcFilePartition(f.getAbsolutePath, readSchema0.length - 1): InputPartition)
 
   override def createReaderFactory(): PartitionReaderFactory =
     new PartitionReaderFactory {
       override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
-        new OvcFileReader(partition.asInstanceOf[OvcFilePartition].file)
+        partition match { case OvcFilePartition(file, arity) => new OvcFileReader(file, arity) }
     }
 }
 
-/** Decodes one prefix-truncated file; per row the offset-value code is built
-  * from the stored offset and first suffix value alone (no comparisons).
+/** Scans one store file of `arity` key columns through the engine's row
+  * decoder ([[RunFile.Reader]]), appending each row's rebuilt code.
   */
-final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
-  private[this] val in = new DataInputStream(new BufferedInputStream(new FileInputStream(file), 1 << 16))
-  private[this] val arity = {
-    require(in.readInt() == OvcStore.Magic, s"$file is not an OvcStore file")
-    val a = in.readInt()
-    (0 until a).foreach(_ => in.readUTF()) // column names (schema already known)
-    a
-  }
-  private[this] val key = new Array[Long](arity)
-  private[this] var first = true
+final class OvcFileReader(file: String, arity: Int) extends PartitionReader[InternalRow] {
+  private[this] val rows = new RunFile.Reader(Paths.get(file), arity, 0)
   private[this] var current: InternalRow = null
 
-  override def next(): Boolean = {
-    if (in.readByte() == 0) { current = null; false }
-    else {
-      val off = in.readByte().toInt
-      var j = off
-      while (j < arity) { key(j) = in.readLong(); j += 1 }
-      val code =
-        if (first) Ovc.initial(key)
-        else if (off == arity) 0L
-        else Ovc.pack(arity, off, key(off))
-      first = false
-      val values = new Array[Any](arity + 1)
-      j = 0
-      while (j < arity) { values(j) = key(j); j += 1 }
-      values(arity) = code
-      current = new GenericInternalRow(values)
-      true
-    }
+  override def next(): Boolean = rows.advance() && {
+    current = new GenericInternalRow(Array.tabulate[Any](arity + 1)(j => if (j < arity) rows.key(j) else rows.code))
+    true
   }
 
   override def get(): InternalRow = current
-  override def close(): Unit = in.close()
+  override def close(): Unit = rows.close()
 }

@@ -73,6 +73,27 @@ class HashSpec extends AnyFunSuite {
     assert(spill.rowsSpilled <= 2L * 10000L)
   }
 
+  test("spilled hash partitions keep whole keys over the full Long domain") {
+    val values = Array(Long.MinValue, -1L, 1L << 48, Long.MaxValue)
+    val rnd = new scala.util.Random(6)
+    def rows(n: Int) = Vector.fill(n)(ERow(Array.fill(3)(values(rnd.nextInt(values.length)))))
+    val input = rows(3000) // up to 64 groups, 8 in memory
+    val spill = new SpillStats
+    val counts = HashAgg.groupCount(input.iterator, 3, 8, spill, new OvcStats).toVector
+    assert(spill.rowsSpilled > 0)
+    assert(counts.map(r => r.key.toVector -> r.payload(0)).toMap == Ref.groupCount(input, 3))
+    assert(counts.size == Ref.groupCount(input, 3).size)
+
+    val build = counts.map(r => ERow(r.key))
+    val probe = rows(200).map(_.key.toVector).distinct.map(k => ERow(k.toArray))
+    val joinSpill = new SpillStats
+    val out = HashJoin.semiJoin(build.iterator, probe.iterator, 3, 4, joinSpill, new OvcStats).toVector
+    assert(joinSpill.rowsSpilled > 0)
+    val expected = probe.map(_.key.toVector).toSet.intersect(build.map(_.key.toVector).toSet)
+    assert(out.map(_.key.toVector).toSet == expected)
+    assert(out.size == expected.size)
+  }
+
   test("closing a half-drained hash result deletes its unread partition files") {
     withTmpDir { dir =>
       def cleanedUp(): Unit = {

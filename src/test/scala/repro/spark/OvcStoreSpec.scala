@@ -4,6 +4,7 @@ import java.nio.file.Files
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{CodedRow, ERow, OvcInvariants}
+import repro.sort.RunFile
 
 /** DataSourceV2 OvcStore: prefix-truncated sorted files whose scan emits the
   * `ovc` column for free (paper §4.10).
@@ -81,5 +82,59 @@ class OvcStoreSpec extends SparkSpec {
       got,
       "SELECT l_orderkey, l_linenumber, count(*) AS cnt FROM li GROUP BY l_orderkey, l_linenumber",
       "li" -> li)
+  }
+
+  test("scanning a store twice returns the same rows: a scan leaves its files in place") {
+    val df = SynthData.uniformKeys(spark, rows = 5000, nKeys = 200)
+      .selectExpr("k", "cast(v * 20 as long) as v2")
+    val dir = tmp()
+    OvcStore.write(df, Seq("k", "v2"), dir)
+    val files = OvcStore.files(dir).map(f => f.getName -> f.length).toSeq
+    def scan() = readStore(dir).collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).sorted.toSeq
+    val first = scan()
+    assert(first.size == 5000)
+    assert(scan() == first)
+    assert(OvcStore.files(dir).map(f => f.getName -> f.length).toSeq == files)
+  }
+
+  test("a store with Int and Short key columns round-trips") {
+    val df = SynthData.uniformKeys(spark, rows = 3000, nKeys = 50)
+      .selectExpr("cast(k as int) as a", "cast(v * 30 as short) as b")
+    val dir = tmp()
+    assert(OvcStore.write(df, Seq("a", "b"), dir).sum == 3000)
+    val back = readStore(dir)
+    val got = back.select("a", "b").collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
+    val exp = df.collect().map(r => (r.getInt(0).toLong, r.getShort(1).toLong)).sorted.toSeq
+    assert(got == exp)
+    val parts = back.rdd.mapPartitions { it =>
+      Iterator.single(it.map(r => CodedRow(Array(r.getLong(0), r.getLong(1)), r.getLong(2),
+                                           ERow.NoPayload)).toVector)
+    }.collect()
+    parts.foreach(p => OvcInvariants.verifyChain(p, 2))
+  }
+
+  test("a null key fails the write with a clear IllegalArgumentException") {
+    val df = spark.range(100).selectExpr("id as k", "if(id = 37, null, id % 5) as g")
+    val e = intercept[Exception](OvcStore.write(df, Seq("k", "g"), tmp()))
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case i: IllegalArgumentException => i }
+    assert(cause.exists(_.getMessage.contains("null in key column g")), e.toString)
+  }
+
+  test("a store of more key columns than a row's offset byte holds fails before any job") {
+    val cols = (0 to RunFile.MaxArity).map(i => s"id as c$i")
+    val df = spark.range(3).selectExpr(cols: _*)
+    val dir = tmp()
+    val e = intercept[IllegalArgumentException](OvcStore.write(df, cols.map(_.drop(6)), dir))
+    assert(e.getMessage.contains(s"arity ${RunFile.MaxArity + 1}"))
+    assert(new java.io.File(dir).list().isEmpty)
+  }
+
+  test("schemaOf a directory without .ovc files fails naming the directory") {
+    val dir = tmp()
+    Files.write(java.nio.file.Paths.get(dir, "README.txt"), "no store here".getBytes("UTF-8"))
+    val e = intercept[IllegalArgumentException](OvcStore.schemaOf(dir))
+    assert(e.getMessage.contains(dir))
+    assert(intercept[IllegalArgumentException](readStore(dir)).getMessage.contains(dir))
   }
 }
