@@ -30,6 +30,64 @@ object CodedRow {
     CodedRow(key.clone(), code, if (payload.length == 0) payload else payload.clone())
 }
 
+/** A sorted, coded row source read one row at a time: the way operators read
+  * each other. After [[advance]] returns true, [[key]], [[code]] and
+  * [[payload]] describe the current row until the next call; a cursor may
+  * reuse the same arrays for every row, and its reader must neither keep nor
+  * write them. Once it returns false it keeps returning false.
+  */
+trait RowCursor {
+  def advance(): Boolean
+  def key: Array[Long]
+  def code: Long
+  def payload: Array[Long]
+}
+
+object RowCursor {
+
+  /** `rows` itself when it is a [[CodedStream]]; otherwise a cursor over it
+    * whose rows keep their own arrays.
+    */
+  def of(rows: Iterator[CodedRow]): RowCursor = rows match {
+    case s: CodedStream => s
+    case _ =>
+      new RowCursor {
+        private[this] var row: CodedRow = null
+        override def advance(): Boolean = rows.hasNext && { row = rows.next(); true }
+        override def key: Array[Long] = row.key
+        override def code: Long = row.code
+        override def payload: Array[Long] = row.payload
+      }
+  }
+}
+
+/** An operator's output: a [[RowCursor]] that is also an iterator. A
+  * subclass implements only the cursor step, over arrays it owns or borrows
+  * from its inputs. The iterator view is this class's: [[next]] returns a
+  * copy of the current row ([[CodedRow.copyOf]]), so a returned row is never
+  * overwritten, and a row that [[hasNext]] fetched is handed to the next
+  * [[advance]] rather than skipped.
+  */
+abstract class CodedStream extends Iterator[CodedRow] with RowCursor {
+  private[this] var fetched = false // hasNext moved to a row nobody has taken
+
+  /** Moves to the next row; false once the stream is exhausted. */
+  protected def step(): Boolean
+
+  /** Forgets a row that [[hasNext]] fetched, for a stream that closes early. */
+  protected final def unfetch(): Unit = fetched = false
+
+  final override def advance(): Boolean = if (fetched) { fetched = false; true } else step()
+
+  final override def hasNext: Boolean = fetched || { fetched = step(); fetched }
+
+  final override def next(): CodedRow = {
+    if (!hasNext) throw new NoSuchElementException("coded stream exhausted")
+    fetched = false
+    CodedRow.copyOf(key, code, payload)
+  }
+}
+
 /** Invariant checks shared by tests and debug assertions. */
 object OvcInvariants {
 

@@ -71,7 +71,7 @@ private[hash] object Partitions {
 
   /** Reads back the rows of the runs `paths`, written through `files`. */
   def read(files: SpillFiles, paths: Seq[Path]): Iterator[ERow] =
-    paths.iterator.flatMap(f => files.reader(f).map(c => ERow(c.key, c.payload)))
+    paths.iterator.flatMap(f => files.cursor(f).map(c => ERow(c.key, c.payload)))
 }
 
 /** A hash operator's result: `first`, then the result `part(p)` of each

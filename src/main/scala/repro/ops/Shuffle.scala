@@ -1,6 +1,6 @@
 package repro.ops
 
-import repro.core.{CodedRow, OvcStats}
+import repro.core.{CodedRow, CodedStream, OvcStats}
 import repro.sort.LoserTree
 
 /** Order-preserving exchange (paper §4.9). */
@@ -34,6 +34,6 @@ object Shuffle {
     * partitions' codes to codes in the merged output.
     */
   def merge(parts: IndexedSeq[Iterator[CodedRow]], arity: Int,
-            stats: OvcStats): Iterator[CodedRow] =
+            stats: OvcStats): CodedStream =
     new LoserTree(parts, arity, stats)
 }

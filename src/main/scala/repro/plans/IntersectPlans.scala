@@ -41,10 +41,12 @@ object IntersectPlans {
     var n = 0L
     try {
       val d2 = ExternalSort.sort(t2(), arity, 0, memRows, stats, spill, dedup = true)
-      // The semi join stops when d1 ends; closing d2 deletes its unread runs.
+      // The semi join reads both sorts' trees as cursors and is counted
+      // through its own, so no row is copied. It stops when d1 ends; closing
+      // d2 deletes its unread runs.
       try {
         val joined = MergeJoinOp(d1, arity, d2, arity, arity, JoinType.LeftSemi, stats)
-        while (joined.hasNext) { joined.next(); n += 1 }
+        while (joined.advance()) n += 1
       } finally d2.close()
     } finally d1.close()
     val ms = (System.nanoTime() - t0) / 1e6

@@ -2,7 +2,7 @@ package repro.sort
 
 import java.nio.file.Path
 
-import repro.core.{CodedRow, ERow, Ovc, OvcStats}
+import repro.core.{CodedRow, CodedStream, ERow, Ovc, OvcStats}
 
 /** External merge sort with tree-of-losers priority queues and offset-value
   * coding (paper §3, §5): run generation merges single-row runs (so OVCs in
@@ -15,9 +15,10 @@ import repro.core.{CodedRow, ERow, Ovc, OvcStats}
   * chunk, and each run goes from the tree's arrays straight to its file.
   * Merging allocates nothing per row read back either: each run is read by a
   * [[RunFile.Cursor]] into arrays it reuses, the merge tree's entries refer to
-  * those arrays, intermediate merge levels write their runs straight from the
-  * tree, and the output stream copies a key and payload into a new row only
-  * for the rows it returns.
+  * those arrays, and intermediate merge levels write their runs straight from
+  * the tree. The output stream is a [[CodedStream]] over the final tree: read
+  * as a cursor it allocates nothing per row; its iterator view copies each
+  * row it returns.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
@@ -46,9 +47,9 @@ object ExternalSort {
     */
   def sort(input: Iterator[ERow], arity: Int, payloadArity: Int, memRows: Int,
            stats: OvcStats, spill: SpillStats, dedup: Boolean = false,
-           fanIn: Int = DefaultFanIn, tmpDir: Path = null): CloseableIterator[CodedRow] = {
+           fanIn: Int = DefaultFanIn, tmpDir: Path = null): CodedStream with CloseableIterator[CodedRow] = {
     require(memRows > 0, "memRows must be positive")
-    val tree = LoserTree.forRows(arity, stats)
+    val tree = LoserTree.forRows(arity, stats, dedup)
     var rowNo = 0L
 
     // Buffers the next chunk of up to memRows rows and sorts it.
@@ -64,25 +65,25 @@ object ExternalSort {
     }
 
     fill()
-    if (!input.hasNext) return new SortedStream(tree, dedup, () => ()) // no spill
+    if (!input.hasNext) return new SortedStream(tree, () => ()) // no spill
 
     val files = new SpillFiles(tmpDir, "ovc-sort", arity, payloadArity)
     try {
-      var runs = Vector(writeRun(tree, arity, files, dedup, spill))
+      var runs = Vector(writeRun(tree, arity, files, spill))
       while (input.hasNext) {
         fill()
-        runs :+= writeRun(tree, arity, files, dedup, spill)
+        runs :+= writeRun(tree, arity, files, spill)
       }
 
       // Intermediate merge levels only when the run count exceeds the fan-in.
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
         runs = runs.grouped(fanIn)
-          .map(g => writeRun(merge(g, files, arity, stats), arity, files, dedup, spill))
+          .map(g => writeRun(merge(g, files, arity, stats, dedup), arity, files, spill))
           .toVector
       }
 
-      new SortedStream(merge(runs, files, arity, stats), dedup, () => files.delete())
+      new SortedStream(merge(runs, files, arity, stats, dedup), () => files.delete())
     } catch {
       case t: Throwable => files.delete(); throw t
     }
@@ -107,44 +108,34 @@ object ExternalSort {
     }
   }
 
-  /** Moves `tree` to its next row to emit, past duplicates under dedup: the
-    * sort's one duplicate skip. Returns false when the tree is exhausted.
-    */
-  private def more(tree: LoserTree, dedup: Boolean): Boolean = {
-    if (dedup) tree.skipDups()
-    tree.hasNext
-  }
-
   /** Writes the tree's sorted rows as one run, straight from its arrays, each
     * prefix-truncated at its code's offset; returns the file path.
     */
-  private def writeRun(tree: LoserTree, arity: Int, files: SpillFiles, dedup: Boolean,
-                       spill: SpillStats): Path =
+  private def writeRun(tree: LoserTree, arity: Int, files: SpillFiles, spill: SpillStats): Path =
     files.write(spill) { w =>
-      while (more(tree, dedup)) {
-        val e = tree.winner
-        w.write(tree.key(e), Ovc.offsetOf(tree.code(e), arity), tree.payload(e))
-        tree.advance()
-      }
+      while (tree.advance()) w.write(tree.key, Ovc.offsetOf(tree.code, arity), tree.payload)
     }
 
   /** A tree merging `runs`, each read back by a cursor into reused arrays. */
-  private def merge(runs: Seq[Path], files: SpillFiles, arity: Int, stats: OvcStats): LoserTree =
-    LoserTree.merge(runs.map(files.cursor).toIndexedSeq, arity, stats)
+  private def merge(runs: Seq[Path], files: SpillFiles, arity: Int, stats: OvcStats,
+                    dedup: Boolean): LoserTree =
+    LoserTree.merge(runs.map(files.cursor).toIndexedSeq, arity, stats, dedup)
 
-  /** The sort's output stream over `tree`, past duplicates under dedup. A row
-    * of a merge tree is copied when it is returned, and only then; `release`
-    * runs once, when the stream is drained or closed.
+  /** The sort's output stream: the current row of `tree`, which drops
+    * duplicates under dedup. `release` runs once, when the stream is drained
+    * or closed.
     */
-  private final class SortedStream(tree: LoserTree, dedup: Boolean, release: () => Unit)
-      extends CloseableIterator[CodedRow] {
+  private final class SortedStream(tree: LoserTree, release: () => Unit)
+      extends CodedStream with CloseableIterator[CodedRow] {
     private[this] var open = true
 
-    override def hasNext: Boolean = open && (more(tree, dedup) || { close(); false })
-    override def next(): CodedRow = {
-      if (!hasNext) throw new NoSuchElementException("sorted stream exhausted or closed")
-      tree.next()
+    override protected def step(): Boolean = open && (tree.advance() || { close(); false })
+    override def key: Array[Long] = tree.key
+    override def code: Long = tree.code
+    override def payload: Array[Long] = tree.payload
+    override def close(): Unit = {
+      unfetch()
+      if (open) { open = false; release() }
     }
-    override def close(): Unit = if (open) { open = false; release() }
   }
 }

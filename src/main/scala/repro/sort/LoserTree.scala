@@ -1,30 +1,6 @@
 package repro.sort
 
-import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
-
-/** A sorted, coded row source read one row at a time, as a merge reads its
-  * inputs. After [[advance]] returns true, [[key]], [[code]] and [[payload]]
-  * describe the current row until the next call; a cursor may reuse the
-  * same arrays for every row. Once it returns false it keeps returning false.
-  */
-trait RowCursor {
-  def advance(): Boolean
-  def key: Array[Long]
-  def code: Long
-  def payload: Array[Long]
-}
-
-object RowCursor {
-
-  /** A cursor over `rows`; each row keeps its own arrays. */
-  def apply(rows: Iterator[CodedRow]): RowCursor = new RowCursor {
-    private[this] var row: CodedRow = null
-    override def advance(): Boolean = rows.hasNext && { row = rows.next(); true }
-    override def key: Array[Long] = row.key
-    override def code: Long = row.code
-    override def payload: Array[Long] = row.payload
-  }
-}
+import repro.core.{CodedRow, CodedStream, Ovc, OvcComparator, OvcStats, RowCursor}
 
 /** Tree-of-losers priority queue with offset-value coding (paper §3): the one
   * tournament behind run generation, merging and segmented sorting.
@@ -53,19 +29,20 @@ object RowCursor {
   * subsume code comparisons, as in the paper's F1 implementation (§5). The
   * entry count is padded to a power of two with fences. Ties are won by the
   * lower entry index, making the merge stable; the losing duplicate is
-  * re-coded with the duplicate code 0, which [[skipDups]] drops.
+  * re-coded with the duplicate code 0, which a tree made with `dedup` drops.
   *
-  * Cursor use: while [[hasNext]], read [[winner]]'s [[key]], [[code]] and
-  * [[payload]], then [[advance]]; the arrays are valid until then. [[next]]
-  * wraps the same steps in a [[CodedRow]], copying the arrays when the tree's
-  * cursors may reuse them, so a returned row is never overwritten.
+  * The tree is a [[CodedStream]]: [[advance]] takes the winner as the current
+  * row and replays its leaf-to-root path at once, so the next winner is
+  * ready. A row-buffer entry's arrays stay valid through that replay; a merge
+  * entry's belong to a cursor the replay moves on, so the tree copies the
+  * row into a key and a payload array it owns and reuses.
   */
 final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: OvcStats,
-                               copyOut: Boolean) extends Iterator[CodedRow] {
+                               dedup: Boolean) extends CodedStream {
 
-  /** Merges sorted, coded iterators; emitted rows keep the inputs' arrays. */
+  /** Merges sorted, coded iterators. */
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
-    this(inputs.iterator.map(RowCursor(_)).toArray, arity, stats, copyOut = false)
+    this(inputs.iterator.map(RowCursor.of).toArray, arity, stats, dedup = false)
 
   // Entries in use, and that count padded to a power of two.
   private[this] var m = 0
@@ -81,6 +58,13 @@ final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: Ovc
   private[this] var node = new Array[Int](keys.length)
 
   private[this] val cmp = new OvcComparator(arity, stats)
+
+  // The current row; a merge tree's key and payload are copies in its own buffers.
+  private[this] var curKey: Array[Long] = null
+  private[this] var curCode = 0L
+  private[this] var curPayload: Array[Long] = null
+  private[this] var keyBuf = Array.emptyLongArray
+  private[this] var payloadBuf = Array.emptyLongArray
 
   if (sources != null) {
     require(sources.nonEmpty, "LoserTree needs at least one input")
@@ -125,18 +109,10 @@ final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: Ovc
       w
     }
 
-  /** Entry index of the current winner. */
-  def winner: Int = node(0)
-  def key(e: Int): Array[Long] = keys(e)
-  def code(e: Int): Long = codes(e)
-  def payload(e: Int): Array[Long] = payloads(e)
-
-  override def hasNext: Boolean = codes(node(0)) != Ovc.LateFence
-
   /** Replaces the winner with its successor (merge) or a fence (row buffer)
     * and replays its leaf-to-root path.
     */
-  def advance(): Unit = {
+  private def replay(): Unit = {
     val w = node(0)
     if (sources != null) pull(w) else codes(w) = Ovc.LateFence
     var cur = w
@@ -149,20 +125,29 @@ final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: Ovc
     node(0) = cur
   }
 
-  /** Advances past winners that carry the duplicate code, so the winner is
-    * the next distinct row: in-sort dedup. Dropping them leaves the code chain
-    * intact, since 0 is the identity of the max-fold (§4.1).
+  /** Takes the winner as the current row and replays its path. With `dedup`
+    * it first replays past winners that carry the duplicate code, so the
+    * row is the next distinct one: in-sort dedup. Dropping them leaves the
+    * code chain intact, since 0 is the identity of the max-fold (§4.1).
     */
-  def skipDups(): Unit = while (Ovc.isDup(codes(node(0)))) advance()
-
-  override def next(): CodedRow = {
+  override protected def step(): Boolean = {
+    if (dedup) while (Ovc.isDup(codes(node(0)))) replay()
     val w = node(0)
-    val out =
-      if (copyOut) CodedRow.copyOf(keys(w), codes(w), payloads(w))
-      else CodedRow(keys(w), codes(w), payloads(w))
-    advance()
-    out
+    codes(w) != Ovc.LateFence && {
+      curCode = codes(w)
+      if (sources == null) { curKey = keys(w); curPayload = payloads(w) }
+      else {
+        keyBuf = LoserTree.copyInto(keys(w), keyBuf); curKey = keyBuf
+        payloadBuf = LoserTree.copyInto(payloads(w), payloadBuf); curPayload = payloadBuf
+      }
+      replay()
+      true
+    }
   }
+
+  override def key: Array[Long] = curKey
+  override def code: Long = curCode
+  override def payload: Array[Long] = curPayload
 
   // --- Row-buffer mode ---
 
@@ -176,6 +161,7 @@ final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: Ovc
     treeSize = 1
     node(0) = 0
     codes(0) = Ovc.LateFence
+    unfetch()
   }
 
   /** Buffers one row (row-buffer trees only); the tree keeps the references,
@@ -213,14 +199,23 @@ final class LoserTree private (sources: Array[RowCursor], arity: Int, stats: Ovc
 object LoserTree {
 
   /** Merges sorted, coded cursors, which may reuse their arrays for every
-    * row; [[LoserTree.next]] copies the rows it returns.
+    * row; with `dedup`, rows with the duplicate code are dropped.
     */
-  def merge(cursors: IndexedSeq[RowCursor], arity: Int, stats: OvcStats): LoserTree =
-    new LoserTree(cursors.toArray, arity, stats, copyOut = true)
+  def merge(cursors: IndexedSeq[RowCursor], arity: Int, stats: OvcStats,
+            dedup: Boolean = false): LoserTree =
+    new LoserTree(cursors.toArray, arity, stats, dedup)
 
   /** An empty row-buffer tree; its arrays grow as rows are added. */
-  def forRows(arity: Int, stats: OvcStats): LoserTree = new LoserTree(null, arity, stats, copyOut = false)
+  def forRows(arity: Int, stats: OvcStats, dedup: Boolean = false): LoserTree =
+    new LoserTree(null, arity, stats, dedup)
 
   /** The least power of two >= n (1 for n <= 1). */
   private def pow2(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
+
+  /** `src` copied into `buf`, or into a new array if `buf` has another length. */
+  private def copyInto(src: Array[Long], buf: Array[Long]): Array[Long] = {
+    val b = if (buf.length == src.length) buf else new Array[Long](src.length)
+    System.arraycopy(src, 0, b, 0, src.length)
+    b
+  }
 }

@@ -5,7 +5,7 @@ import java.nio.file.{Files, Path}
 
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{CodedRow, Ovc}
+import repro.core.{CodedRow, CodedStream, Ovc}
 
 /** Spill accounting for external algorithms: the unit the paper's Figure 3
   * argues about is "rows spilled to temporary storage".
@@ -145,7 +145,7 @@ object RunFile {
     * naming the file, unless its header gives this arity and payload arity.
     * Closes itself once exhausted; `close` is idempotent.
     */
-  class Reader(val path: Path, arity: Int, payloadArity: Int) extends RowCursor with AutoCloseable {
+  class Reader(val path: Path, arity: Int, payloadArity: Int) extends CodedStream with AutoCloseable {
     private[this] val in = open(path)
     try {
       val h = readHeader(path, in)
@@ -161,7 +161,7 @@ object RunFile {
 
     override def code: Long = c
 
-    override def advance(): Boolean =
+    override protected def step(): Boolean =
       isOpen && {
         val off = in.readUnsignedByte()
         if (off == EndOfRun) { close(); false }
@@ -176,43 +176,35 @@ object RunFile {
         }
       }
 
-    override def close(): Unit = if (isOpen) { isOpen = false; in.close() }
+    override def close(): Unit = {
+      unfetch()
+      if (isOpen) { isOpen = false; in.close() }
+    }
   }
 
   /** A [[Reader]] that deletes its spill run once exhausted or closed: the
     * decoder behind [[reader]] and the sort's merges.
     */
-  final class Cursor(run: Path, arity: Int, payloadArity: Int) extends Reader(run, arity, payloadArity) {
+  final class Cursor(run: Path, arity: Int, payloadArity: Int)
+      extends Reader(run, arity, payloadArity) with CloseableIterator[CodedRow] {
     override def close(): Unit = try super.close() finally Files.deleteIfExists(path)
   }
 
-  /** Streams a run back as rows with their own arrays; the file is deleted
-    * once fully consumed or closed.
+  /** Streams a run back; its iterator view returns rows with their own
+    * arrays. The file is deleted once fully consumed or closed.
     */
-  def reader(path: Path, arity: Int, payloadArity: Int): CloseableIterator[CodedRow] =
-    new CloseableIterator[CodedRow] {
-      private[this] val cur = new Cursor(path, arity, payloadArity)
-      private[this] var ready = false // cur holds a row not yet returned
-
-      override def hasNext: Boolean = ready || { ready = cur.advance(); ready }
-      override def next(): CodedRow = {
-        if (!hasNext) throw new NoSuchElementException("run exhausted")
-        ready = false
-        CodedRow.copyOf(cur.key, cur.code, cur.payload)
-      }
-      override def close(): Unit = { ready = false; cur.close() }
-    }
+  def reader(path: Path, arity: Int, payloadArity: Int): Cursor = new Cursor(path, arity, payloadArity)
 }
 
 /** The spill files of one operator: the directory they go to (a new temp dir,
   * made on first use, unless `tmpDir` is given), the runs written there and
-  * the cursors and readers opened on them. [[delete]] closes those and
+  * the cursors opened on them. [[delete]] closes those and
   * deletes the runs, then the directory if it made it.
   */
 final class SpillFiles(tmpDir: Path, prefix: String, arity: Int, payloadArity: Int) {
   private[this] var ownDir: Path = null
   private[this] val written = ArrayBuffer.empty[Path]
-  private[this] val opened = ArrayBuffer.empty[AutoCloseable]
+  private[this] val opened = ArrayBuffer.empty[RunFile.Cursor]
 
   def dir: Path = {
     if (tmpDir != null) tmpDir
@@ -229,13 +221,14 @@ final class SpillFiles(tmpDir: Path, prefix: String, arity: Int, payloadArity: I
     path
   }
 
-  def cursor(run: Path): RunFile.Cursor = track(new RunFile.Cursor(run, arity, payloadArity))
+  /** Opens `run` for reading; [[delete]] closes it. */
+  def cursor(run: Path): RunFile.Cursor = {
+    val c = RunFile.reader(run, arity, payloadArity)
+    opened += c
+    c
+  }
 
-  def reader(run: Path): CloseableIterator[CodedRow] = track(RunFile.reader(run, arity, payloadArity))
-
-  private def track[C <: AutoCloseable](c: C): C = { opened += c; c }
-
-  /** Closes every cursor and reader, then deletes the runs and the own dir. */
+  /** Closes every cursor, then deletes the runs and the own dir. */
   def delete(): Unit = {
     try opened.foreach(_.close())
     finally written.foreach(Files.deleteIfExists)

@@ -75,6 +75,26 @@ class ShuffleRleSpec extends AnyFunSuite {
     assert(out.tail.forall(r => Ovc.isDup(r.code)))
   }
 
+  test("RLE build rejects a key of the wrong arity, naming the row") {
+    val keys = Vector(Array(1L, 2L), Array(1L, 3L), Array(2L))
+    val e = intercept[IllegalArgumentException](RleTable.fromSortedKeys(keys))
+    assert(e.getMessage.contains("row 2:") && e.getMessage.contains("1 columns"), e.getMessage)
+  }
+
+  test("RLE build rejects a value outside [0, 2^48), naming the row and the value") {
+    for (bad <- Seq(-5L, 1L << 48, Long.MinValue)) {
+      val keys = Vector(Array(0L, 1L), Array(0L, 2L), Array(3L, bad))
+      val e = intercept[IllegalArgumentException](RleTable.fromSortedKeys(keys))
+      assert(e.getMessage.contains("row 2:") && e.getMessage.contains(s"value $bad "), e.getMessage)
+    }
+  }
+
+  test("RLE build rejects keys out of order, naming the row") {
+    val keys = Vector(Array(0L, 1L), Array(1L, 0L), Array(1L, 2L), Array(1L, 1L), Array(2L, 0L))
+    val e = intercept[IllegalArgumentException](RleTable.fromSortedKeys(keys))
+    assert(e.getMessage.contains("row 3:") && e.getMessage.contains("smaller than row 2"), e.getMessage)
+  }
+
   test("scan feeds downstream operators directly: dedup + group count") {
     val rows = DataGen.randomRows(2000, 2, 3, seed = 9)
     val sorted = Ref.sortCoded(rows)

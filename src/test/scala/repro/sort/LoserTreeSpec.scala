@@ -46,7 +46,9 @@ class LoserTreeSpec extends AnyFunSuite {
     val rows = DataGen.refSortCoded(DataGen.randomRows(100, 2, 4, seed = 9))
     val stats = new OvcStats
     val out = new LoserTree(IndexedSeq(rows.iterator), 2, stats).toVector
-    assert(out == rows)
+    // Returned rows are copies: compare every key, code and payload value.
+    def values(rs: Seq[CodedRow]) = rs.map(r => (r.key.toVector, r.code, r.payload.toVector))
+    assert(values(out) == values(rows))
   }
 
   test("empty inputs produce an empty merge") {
@@ -95,11 +97,7 @@ class LoserTreeSpec extends AnyFunSuite {
   /** Drains `tree` through the cursor API. */
   private def drain(tree: LoserTree): Vector[(Vector[Long], Long, Vector[Long])] = {
     val out = Vector.newBuilder[(Vector[Long], Long, Vector[Long])]
-    while (tree.hasNext) {
-      val e = tree.winner
-      out += ((tree.key(e).toVector, tree.code(e), tree.payload(e).toVector))
-      tree.advance()
-    }
+    while (tree.advance()) out += ((tree.key.toVector, tree.code, tree.payload.toVector))
     out.result()
   }
 
@@ -158,19 +156,25 @@ class LoserTreeSpec extends AnyFunSuite {
     }
   }
 
-  test("a cursor merge drained through the cursor API reuses the cursors' arrays") {
+  test("a cursor merge read as a cursor copies rows into two reused arrays") {
     withTmpDir { dir =>
       val runs = split(Ref.sortCoded(DataGen.randomRows(500, 2, 5, seed = 32, payloadArity = 1)), 4)
         .map(run => DataGen.codeSorted(run.map(_.key), run.map(_.payload)))
       val cursors = runs.map(r => new RunFile.Cursor(RunFile.write(dir, 2, 1, r.iterator, new SpillStats), 2, 1))
       val tree = LoserTree.merge(cursors, 2, new OvcStats)
       val expected = Ref.sortCoded(runs.flatten.map(r => ERow(r.key, r.payload)))
-      assert(drain(tree) == expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
-      // Every entry refers to its cursor's arrays: reading a row allocated none.
-      (0 until cursors.size).foreach { e =>
-        assert(tree.key(e) eq cursors(e).key)
-        assert(tree.payload(e) eq cursors(e).payload)
+      val arrays = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[AnyRef, java.lang.Boolean])
+      val out = Vector.newBuilder[(Vector[Long], Long, Vector[Long])]
+      while (tree.advance()) {
+        arrays.add(tree.key); arrays.add(tree.payload)
+        out += ((tree.key.toVector, tree.code, tree.payload.toVector))
       }
+      assert(out.result() == expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      // Every row came through the same key and payload array, neither of
+      // them a cursor's, which the next row read overwrites: reading a row
+      // allocated none.
+      assert(arrays.size == 2)
+      cursors.foreach(c => assert(!arrays.contains(c.key) && !arrays.contains(c.payload)))
     }
   }
 }
